@@ -652,13 +652,15 @@ let write_json path ~opts ~scale ~timings =
   p
     "  \"optimizer\": { \"candidates\": %d, \"rules_applied\": %d, \
      \"verify_rejections\": %d, \"plan_cache_hits\": %d, \
-     \"plan_cache_misses\": %d, \"plan_cache_size\": %d },\n"
+     \"plan_cache_misses\": %d, \"plan_cache_size\": %d, \
+     \"replay_divergences\": %d },\n"
     (m "optimizer.candidates")
     (m "optimizer.rules_applied")
     (m "optimizer.verify_rejections")
     (m "optimizer.plan_cache_hits")
     (m "optimizer.plan_cache_misses")
-    (Optimizer.Cache.size ());
+    (Optimizer.Cache.size ())
+    (m "optimizer.replay_divergences");
   p "  \"autotune_ablation\": [\n";
   let nat = List.length !autotune_rows in
   List.iteri
@@ -778,11 +780,12 @@ let write_json path ~opts ~scale ~timings =
     (m "serve.queue_high_water");
   p
     "  \"analysis\": { \"kernels_checked\": %d, \"plans_checked\": %d, \
-     \"findings\": %d, \"errors\": %d, \"warnings\": %d, \"notes\": %d },\n"
+     \"findings\": %d, \"errors\": %d, \"warnings\": %d, \"notes\": %d, \
+     \"memo_hits\": %d, \"memo_misses\": %d },\n"
     (m "analysis.kernels_checked")
     (m "analysis.plans_checked")
     (m "analysis.findings") (m "analysis.errors") (m "analysis.warnings")
-    (m "analysis.notes");
+    (m "analysis.notes") (m "analysis.memo_hits") (m "analysis.memo_misses");
   p "  \"perf_lint\": [\n";
   let nperf = List.length !perf_reports in
   List.iteri

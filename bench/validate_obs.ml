@@ -191,6 +191,19 @@ let () =
           | Some (Obs.Json.Num _) -> ()
           | _ -> fail "bench report %s: gpu block missing %s" bench_path name)
         [ "peak_bytes"; "buffers_reused" ];
+      (* The searches re-gate unchanged kernels, so the analysis verdict
+         memo must answer some of them. *)
+      (match Obs.Json.member "analysis" bench with
+      | Some analysis -> (
+          match Obs.Json.member "memo_hits" analysis with
+          | Some (Obs.Json.Num n) when n > 0. -> ()
+          | Some _ ->
+              fail "bench report %s: analysis verdict memo recorded no hits"
+                bench_path
+          | None ->
+              fail "bench report %s: analysis block missing memo_hits"
+                bench_path)
+      | None -> fail "bench report %s: no analysis block" bench_path);
       let rows =
         match Obs.Json.member "serving" bench with
         | Some (Obs.Json.Arr rows) -> rows

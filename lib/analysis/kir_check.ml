@@ -115,8 +115,8 @@ let rec walk_stmt ctx env (s : Kir.stmt) =
 
 and walk_body ctx env stmts = List.fold_left (walk_stmt ctx) env stmts
 
-let check ?(file = "kir") ?(scalars = []) ~buffers ~grid (k : Kir.t) :
-    Finding.t list =
+(* The findings and the count the budget dropped. *)
+let check_uncached ~file ~scalars ~buffers ~grid ~max_findings (k : Kir.t) =
   let ctx =
     {
       file;
@@ -161,15 +161,29 @@ let check ?(file = "kir") ?(scalars = []) ~buffers ~grid (k : Kir.t) :
           k.Kir.params
       end);
   let fs = List.rev ctx.findings in
-  let max_findings = Config.findings_cap () in
   if List.length fs > max_findings then begin
     let kept = List.filteri (fun i _ -> i < max_findings) fs in
     let dropped = List.length fs - max_findings in
-    Finding.findings_dropped dropped;
-    kept
-    @ [
-        Finding.v Finding.Analysis_skipped Finding.Note ~file ~where:k.Kir.kname
-          "%d further finding(s) suppressed (budget %d)" dropped max_findings;
-      ]
+    ( kept
+      @ [
+          Finding.v Finding.Analysis_skipped Finding.Note ~file
+            ~where:k.Kir.kname "%d further finding(s) suppressed (budget %d)"
+            dropped max_findings;
+        ],
+      dropped )
   end
-  else fs
+  else (fs, 0)
+
+let memo = Memo.create ()
+
+let check ?(file = "kir") ?(scalars = []) ~buffers ~grid (k : Kir.t) :
+    Finding.t list =
+  let max_findings = Config.findings_cap () in
+  let findings, dropped =
+    Memo.find_or_compute memo (file, scalars, buffers, grid, max_findings, k)
+      (fun () -> check_uncached ~file ~scalars ~buffers ~grid ~max_findings k)
+  in
+  (* Counted per call, hit or miss: the metric reports what the callers
+     were not shown. *)
+  Finding.findings_dropped dropped;
+  findings

@@ -10,8 +10,11 @@
     - parameters the kernel body never references;
     - structural validation failures and grid-rank mismatches.
 
-    Buffers absent from [buffers] are not bounds-checked.  At most 64
-    findings are returned, followed by an [Analysis_skipped] note. *)
+    Buffers absent from [buffers] are not bounds-checked.  At most
+    {!Config.findings_cap} findings are returned, followed by an
+    [Analysis_skipped] note; every call, memoised or not, adds the
+    dropped count to [analysis.findings_dropped].  Verdicts are memoised
+    process-wide ({!Memo}) on all arguments and the cap. *)
 
 val check :
   ?file:string ->

@@ -116,7 +116,7 @@ type kinfo = { idx : int; name : string; grid : int array; kernel : Kir.t }
 
 let kname_of i = i.name
 
-let check_group ?(file = "kir") ~out ~len ~full_cover kernels : Finding.t list =
+let check_group_uncached ~file ~out ~len ~full_cover kernels =
   let infos =
     List.mapi
       (fun idx (k, grid) -> { idx; name = k.Kir.kname; grid; kernel = k })
@@ -278,3 +278,9 @@ let check_group ?(file = "kir") ~out ~len ~full_cover kernels : Finding.t list =
                out !written len)
       end);
   List.rev !findings
+
+let memo = Memo.create ()
+
+let check_group ?(file = "kir") ~out ~len ~full_cover kernels : Finding.t list =
+  Memo.find_or_compute memo (file, out, len, full_cover, kernels) (fun () ->
+      check_group_uncached ~file ~out ~len ~full_cover kernels)

@@ -15,7 +15,8 @@
     not recognisably affine the checker falls back to concrete
     interpretation of every work-item (sound because generated kernels
     are address-data-independent; checked via
-    {!Gpu.Kir.cost_data_independent}). *)
+    {!Gpu.Kir.cost_data_independent}).  Verdicts are memoised
+    process-wide ({!Memo}) on all arguments. *)
 
 val check_group :
   ?file:string ->

@@ -748,147 +748,241 @@ let pp ppf k =
 
 (* {!static_cost} re-derives the {!profile_threads} numbers without
    touching buffer data: buffer loads evaluate to an opaque value, and
-   the interpreter demands that every address, branch condition and
-   loop bound still reduce to a concrete integer.  For any kernel that
+   the evaluator demands that every address, branch condition and loop
+   bound still reduce to a concrete integer.  For any kernel that
    passes {!cost_data_independent} this succeeds and — because it
    mirrors [interp_thread]'s evaluation and counting order and samples
    the identical thread set — reproduces the executed profile exactly,
    while additionally deriving warp-level structure (coalescing
    efficiency, read overlap, bank-conflict degree, divergence) from
-   three densely sampled warps. *)
+   three densely sampled warps.
+
+   The body is compiled once per call into closures, as {!prepare}
+   does for execution: variables resolve to slots, buffers to parameter
+   positions and [If] sites to array indices, so the 160 sampled
+   threads run without name lookups. *)
 
 exception Static_blocked of string
 
-type sval = Known of int | Unknown
-
-(* [If] statements annotated with stable site ids, so decision traces
-   from different lanes can be compared per branch. *)
-type astmt =
-  | S_let of string * expr
-  | S_store of string * expr * expr
-  | S_if of int * expr * astmt list * astmt list
-  | S_for of string * expr * expr * astmt list
-
-let annotate body =
-  let sites = ref [] in
-  let next = ref 0 in
-  let rec stmts ss = List.map stmt ss
-  and stmt = function
-    | Let (n, e) -> S_let (n, e)
-    | Store (b, i, v) -> S_store (b, i, v)
-    | If (c, t, e) ->
-        let id = !next in
-        incr next;
-        sites := (id, Format.asprintf "if (%a)" pp_expr c) :: !sites;
-        (* Children annotated after the parent: program order. *)
-        S_if (id, c, stmts t, stmts e)
-    | For { var; lo; hi; body } -> S_for (var, lo, hi, stmts body)
-  in
-  let b = stmts body in
-  (b, List.rev !sites)
-
+(* One sampled thread's trace. *)
 type strace = {
   mutable s_reads : int;
   mutable s_writes : int;
   mutable s_ops : int;
   mutable s_read_addrs : int list;  (* reversed, like [trace] *)
-  s_buf_addrs : (string, int list ref) Hashtbl.t;  (* reversed per buffer *)
-  s_decisions : (int, bool list ref) Hashtbl.t;  (* reversed per If site *)
+  s_buf_addrs : int list array;  (* reversed, per parameter position *)
+  s_decisions : bool list array;  (* reversed, per If site *)
   s_site_ops : int array;
   s_site_stores : int array;
 }
 
-let new_strace ~nsites =
+(* Evaluation state of one compiled body, allocated once per kernel
+   and passed to its closures.  A value is a concrete int unless its
+   [unknown] flag says it was loaded from a buffer. *)
+type sstate = {
+  mutable gid : int array;
+  vals : int array;  (* let and loop slots *)
+  unknowns : bool array;
+  mutable unknown : bool;  (* flag of the expression just evaluated *)
+  mutable tr : strace;
+}
+
+let new_strace ~nbufs ~nsites =
   {
     s_reads = 0;
     s_writes = 0;
     s_ops = 0;
     s_read_addrs = [];
-    s_buf_addrs = Hashtbl.create 4;
-    s_decisions = Hashtbl.create 4;
+    s_buf_addrs = Array.make nbufs [];
+    s_decisions = Array.make (max 1 nsites) [];
     s_site_ops = Array.make (max 1 nsites) 0;
     s_site_stores = Array.make (max 1 nsites) 0;
   }
 
-let known what = function
-  | Known v -> v
-  | Unknown -> raise (Static_blocked what)
+let blocked m = raise (Static_blocked m)
 
-let static_thread ~scalars ~gid body trace =
-  let rec eval env = function
-    | Int n -> Known n
-    | Gid d -> Known gid.(d)
+(* [op] with an operand loaded from a buffer ([ux]/[uy]): opaque
+   unless the other operand decides it (0 for [Mul]/[And], nonzero for
+   [Or]). *)
+let opaque_binop st op x ux y uy =
+  match op with
+  | (Div | Mod) when uy -> blocked "buffer-dependent divisor"
+  | (Div | Mod) when y = 0 -> blocked "division or modulo by zero"
+  | (Mul | And) when ((not ux) && x = 0) || ((not uy) && y = 0) ->
+      st.unknown <- false;
+      0
+  | Or when ((not ux) && x <> 0) || ((not uy) && y <> 0) ->
+      st.unknown <- false;
+      1
+  | _ ->
+      st.unknown <- true;
+      0
+
+(* [compile_static ~scalars kernel] is [(run, sites)]: [run gid]
+   evaluates one thread and returns its trace; [sites] lists the
+   rendered [If] conditions by site index.  Sites are numbered parent
+   first, then the else branch, then the then branch — the order the
+   summaries have always listed them in. *)
+let compile_static ~scalars kernel =
+  let nbufs = List.length kernel.params in
+  let buf_index name =
+    let rec go i = function
+      | [] -> invalid_arg ("Kir.static_cost: unknown buffer " ^ name)
+      | p :: rest -> if p.pname = name then i else go (i + 1) rest
+    in
+    go 0 kernel.params
+  in
+  let next_slot = ref 0 and next_site = ref 0 and sites = ref [] in
+  (* Leaves are shared per value, slot or axis: the closures of a body
+     live through all 160 threads, so their size is what a call leaves
+     on the major heap. *)
+  let leaves = Hashtbl.create 64 in
+  let leaf key make =
+    match Hashtbl.find_opt leaves key with
+    | Some c -> c
+    | None ->
+        let c = make () in
+        Hashtbl.add leaves key c;
+        c
+  in
+  let rec expr scope = function
+    | Int n ->
+        leaf (`Int n) (fun () st ->
+            st.unknown <- false;
+            n)
+    | Gid d ->
+        leaf (`Gid d) (fun () st ->
+            st.unknown <- false;
+            st.gid.(d))
     | Param name -> (
         match List.assoc_opt name scalars with
-        | Some v -> Known v
+        | Some v -> expr scope (Int v)
         | None ->
-            raise
-              (Static_blocked
-                 (Printf.sprintf "no static value for scalar %s" name)))
-    | Var name -> List.assoc name env
+            let m = Printf.sprintf "no static value for scalar %s" name in
+            fun _ -> blocked m)
+    | Var name ->
+        let slot = List.assoc name scope in
+        leaf (`Var slot) (fun () st ->
+            st.unknown <- st.unknowns.(slot);
+            st.vals.(slot))
     | Read (buf, idx) ->
-        let i = known "buffer-dependent read address" (eval env idx) in
-        trace.s_reads <- trace.s_reads + 1;
-        trace.s_read_addrs <- i :: trace.s_read_addrs;
-        (match Hashtbl.find_opt trace.s_buf_addrs buf with
-        | Some l -> l := i :: !l
-        | None -> Hashtbl.add trace.s_buf_addrs buf (ref [ i ]));
-        Unknown
-    | Bin (op, a, b) -> (
+        let b = buf_index buf and idx = expr scope idx in
+        fun st ->
+          let i = idx st in
+          if st.unknown then blocked "buffer-dependent read address";
+          let tr = st.tr in
+          tr.s_reads <- tr.s_reads + 1;
+          tr.s_read_addrs <- i :: tr.s_read_addrs;
+          tr.s_buf_addrs.(b) <- i :: tr.s_buf_addrs.(b);
+          st.unknown <- true;
+          0
+    | Bin (op, a, b) ->
+        let a = expr scope a and b = expr scope b in
         (* Same counting as [interp_thread]: one op, both operands
            evaluated unconditionally — right-to-left, matching the
            argument evaluation order of its [apply_binop] call, so the
            issue order of read addresses (and hence burst) agrees. *)
-        trace.s_ops <- trace.s_ops + 1;
-        let vb = eval env b in
-        let va = eval env a in
-        match (op, va, vb) with
-        | (Div | Mod), _, Known 0 ->
-            raise (Static_blocked "division or modulo by zero")
-        | _, Known x, Known y -> Known (apply_binop op x y)
-        | (Div | Mod), _, Unknown ->
-            raise (Static_blocked "buffer-dependent divisor")
-        | And, Known 0, _ | And, _, Known 0 -> Known 0
-        | Or, Known x, _ when x <> 0 -> Known 1
-        | Or, _, Known y when y <> 0 -> Known 1
-        | Mul, Known 0, _ | Mul, _, Known 0 -> Known 0
-        | _ -> Unknown)
+        fun st ->
+          st.tr.s_ops <- st.tr.s_ops + 1;
+          let y = b st in
+          let uy = st.unknown in
+          let x = a st in
+          if st.unknown || uy then opaque_binop st op x st.unknown y uy
+          else if (op = Div || op = Mod) && y = 0 then
+            blocked "division or modulo by zero"
+          else apply_binop op x y
     | Select (c, a, b) ->
-        trace.s_ops <- trace.s_ops + 1;
-        if known "buffer-dependent select condition" (eval env c) <> 0 then
-          eval env a
-        else eval env b
+        let c = expr scope c and a = expr scope a and b = expr scope b in
+        fun st ->
+          st.tr.s_ops <- st.tr.s_ops + 1;
+          let v = c st in
+          if st.unknown then blocked "buffer-dependent select condition";
+          if v <> 0 then a st else b st
   in
-  let rec exec env = function
-    | [] -> env
-    | S_let (name, e) :: rest -> exec ((name, eval env e) :: env) rest
-    | S_store (_, idx, v) :: rest ->
-        let _ = known "buffer-dependent store address" (eval env idx) in
-        let _ = eval env v in
-        trace.s_writes <- trace.s_writes + 1;
-        exec env rest
-    | S_if (site, c, then_, else_) :: rest ->
-        let taken = known "buffer-dependent branch" (eval env c) <> 0 in
-        (match Hashtbl.find_opt trace.s_decisions site with
-        | Some l -> l := taken :: !l
-        | None -> Hashtbl.add trace.s_decisions site (ref [ taken ]));
-        let ops0 = trace.s_ops and st0 = trace.s_writes in
-        ignore (exec env (if taken then then_ else else_));
-        trace.s_site_ops.(site) <-
-          trace.s_site_ops.(site) + (trace.s_ops - ops0);
-        trace.s_site_stores.(site) <-
-          trace.s_site_stores.(site) + (trace.s_writes - st0);
-        exec env rest
-    | S_for (var, lo, hi, body) :: rest ->
-        let stop = known "buffer-dependent loop bound" (eval env hi) in
-        let i = ref (known "buffer-dependent loop bound" (eval env lo)) in
-        while !i < stop do
-          ignore (exec ((var, Known !i) :: env) body);
-          incr i
-        done;
-        exec env rest
+  let rec stmts scope ss =
+    let rec go scope acc = function
+      | [] -> Array.of_list (List.rev acc)
+      | s :: rest ->
+          let scope, c = stmt scope s in
+          go scope (c :: acc) rest
+    in
+    let cs = go scope [] ss in
+    fun st ->
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) st
+      done
+  and stmt scope = function
+    | Let (name, e) ->
+        let e = expr scope e in
+        let slot = !next_slot in
+        incr next_slot;
+        ( (name, slot) :: scope,
+          fun st ->
+            st.vals.(slot) <- e st;
+            st.unknowns.(slot) <- st.unknown )
+    | Store (_, idx, v) ->
+        let idx = expr scope idx and v = expr scope v in
+        ( scope,
+          fun st ->
+            ignore (idx st);
+            if st.unknown then blocked "buffer-dependent store address";
+            ignore (v st);
+            st.tr.s_writes <- st.tr.s_writes + 1 )
+    | If (c, then_, else_) ->
+        let site = !next_site in
+        incr next_site;
+        sites := Format.asprintf "if (%a)" pp_expr c :: !sites;
+        let c = expr scope c in
+        let else_ = stmts scope else_ in
+        let then_ = stmts scope then_ in
+        ( scope,
+          fun st ->
+            let v = c st in
+            if st.unknown then blocked "buffer-dependent branch";
+            let taken = v <> 0 in
+            let tr = st.tr in
+            tr.s_decisions.(site) <- taken :: tr.s_decisions.(site);
+            let ops0 = tr.s_ops and st0 = tr.s_writes in
+            if taken then then_ st else else_ st;
+            tr.s_site_ops.(site) <- tr.s_site_ops.(site) + (tr.s_ops - ops0);
+            tr.s_site_stores.(site) <-
+              tr.s_site_stores.(site) + (tr.s_writes - st0) )
+    | For { var; lo; hi; body } ->
+        let lo = expr scope lo and hi = expr scope hi in
+        let slot = !next_slot in
+        incr next_slot;
+        let body = stmts ((var, slot) :: scope) body in
+        ( scope,
+          fun st ->
+            let stop = hi st in
+            if st.unknown then blocked "buffer-dependent loop bound";
+            let i = ref (lo st) in
+            if st.unknown then blocked "buffer-dependent loop bound";
+            while !i < stop do
+              st.vals.(slot) <- !i;
+              st.unknowns.(slot) <- false;
+              body st;
+              incr i
+            done )
   in
-  ignore (exec [] body)
+  let body = stmts [] kernel.body in
+  let nsites = !next_site in
+  let st =
+    {
+      gid = [||];
+      vals = Array.make (max 1 !next_slot) 0;
+      unknowns = Array.make (max 1 !next_slot) false;
+      unknown = false;
+      tr = new_strace ~nbufs ~nsites;
+    }
+  in
+  let run gid =
+    st.gid <- gid;
+    st.tr <- new_strace ~nbufs ~nsites;
+    body st;
+    st.tr
+  in
+  (run, List.rev !sites)
 
 let warp_size = 32
 
@@ -896,6 +990,7 @@ let warp_size = 32
 let seg_of a = if a >= 0 then a / warp_size else ((a + 1) / warp_size) - 1
 
 type bstat = {
+  mutable b_touched : bool;  (* some sampled thread or lane read it *)
   mutable b_reads : int;
   mutable b_burst : float;
   mutable b_threads : int;  (* sampled threads that touched the buffer *)
@@ -910,17 +1005,10 @@ type bstat = {
   mutable b_bank : int;  (* max bank-conflict degree over steps *)
 }
 
-let bstat_of tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some s -> s
-  | None ->
-      let s =
-        { b_reads = 0; b_burst = 0.; b_threads = 0; b_row = 0; b_col = 0;
-          b_gather = 0; b_events = 0; b_distinct = 0; b_useful = 0;
-          b_fetched = 0; b_bank = 0 }
-      in
-      Hashtbl.add tbl name s;
-      s
+let new_bstat () =
+  { b_touched = false; b_reads = 0; b_burst = 0.; b_threads = 0; b_row = 0;
+    b_col = 0; b_gather = 0; b_events = 0; b_distinct = 0; b_useful = 0;
+    b_fetched = 0; b_bank = 0 }
 
 let static_cost ?(scalars = []) kernel ~grid =
   match validate kernel with
@@ -929,8 +1017,6 @@ let static_cost ?(scalars = []) kernel ~grid =
       if not (cost_data_independent kernel) then
         Error "thread cost depends on buffer contents"
       else begin
-        let body, sites = annotate kernel.body in
-        let nsites = List.length sites in
         let total = Ndarray.Shape.size grid in
         let stranded = (warp_size - (total mod warp_size)) mod warp_size in
         if total = 0 then
@@ -947,6 +1033,8 @@ let static_cost ?(scalars = []) kernel ~grid =
                   };
             }
         else
+          let run, sites = compile_static ~scalars kernel in
+          let nsites = List.length sites in
           try
             (* Phase A: replicate [profile_threads]' thread sample and
                aggregation bit-for-bit, with per-buffer splits. *)
@@ -958,12 +1046,12 @@ let static_cost ?(scalars = []) kernel ~grid =
             and votes_gather = ref 0 in
             let burst_sum = ref 0.0 in
             let n = ref 0 in
-            let bstats : (string, bstat) Hashtbl.t = Hashtbl.create 4 in
+            let bstats =
+              Array.init (List.length kernel.params) (fun _ -> new_bstat ())
+            in
             let lin = ref 0 in
             while !lin < total do
-              let gid = Ndarray.Index.unravel grid !lin in
-              let tr = new_strace ~nsites in
-              static_thread ~scalars ~gid body tr;
+              let tr = run (Ndarray.Index.unravel grid !lin) in
               reads := !reads + tr.s_reads;
               writes := !writes + tr.s_writes;
               ops := !ops + tr.s_ops;
@@ -972,16 +1060,19 @@ let static_cost ?(scalars = []) kernel ~grid =
               | `Row -> incr votes_row
               | `Column -> incr votes_col
               | `Gather -> incr votes_gather);
-              Hashtbl.iter
+              Array.iteri
                 (fun b l ->
-                  let st = bstat_of bstats b in
-                  st.b_reads <- st.b_reads + List.length !l;
-                  st.b_burst <- st.b_burst +. burst_of_addrs !l;
-                  st.b_threads <- st.b_threads + 1;
-                  match classify_addrs !l with
-                  | `Row -> st.b_row <- st.b_row + 1
-                  | `Column -> st.b_col <- st.b_col + 1
-                  | `Gather -> st.b_gather <- st.b_gather + 1)
+                  if l <> [] then begin
+                    let st = bstats.(b) in
+                    st.b_touched <- true;
+                    st.b_reads <- st.b_reads + List.length l;
+                    st.b_burst <- st.b_burst +. burst_of_addrs l;
+                    st.b_threads <- st.b_threads + 1;
+                    match classify_addrs l with
+                    | `Row -> st.b_row <- st.b_row + 1
+                    | `Column -> st.b_col <- st.b_col + 1
+                    | `Gather -> st.b_gather <- st.b_gather + 1
+                  end)
                 tr.s_buf_addrs;
               incr n;
               lin := !lin + step
@@ -1004,52 +1095,33 @@ let static_cost ?(scalars = []) kernel ~grid =
             let site_ops_sum = Array.make (max 1 nsites) 0 in
             let site_stores_sum = Array.make (max 1 nsites) 0 in
             let lane_count = ref 0 in
+            let banks = Array.make warp_size 0 in
             List.iter
               (fun start ->
                 let lanes = min warp_size (total - start) in
                 let traces =
                   Array.init lanes (fun l ->
-                      let gid = Ndarray.Index.unravel grid (start + l) in
-                      let tr = new_strace ~nsites in
-                      static_thread ~scalars ~gid body tr;
-                      tr)
+                      run (Ndarray.Index.unravel grid (start + l)))
                 in
                 lane_count := !lane_count + lanes;
                 for s = 0 to nsites - 1 do
-                  let dec l =
-                    match Hashtbl.find_opt traces.(l).s_decisions s with
-                    | Some r -> List.rev !r
-                    | None -> []
-                  in
-                  let d0 = dec 0 in
-                  let div = ref false in
+                  let d0 = traces.(0).s_decisions.(s) in
                   for l = 1 to lanes - 1 do
-                    if dec l <> d0 then div := true
+                    if traces.(l).s_decisions.(s) <> d0 then
+                      site_div.(s) <- true
                   done;
-                  if !div && lanes > 1 then site_div.(s) <- true;
                   Array.iter
                     (fun tr ->
-                      site_ops_sum.(s) <-
-                        site_ops_sum.(s) + tr.s_site_ops.(s);
+                      site_ops_sum.(s) <- site_ops_sum.(s) + tr.s_site_ops.(s);
                       site_stores_sum.(s) <-
                         site_stores_sum.(s) + tr.s_site_stores.(s))
                     traces
                 done;
-                let bufs =
-                  Array.fold_left
-                    (fun acc tr ->
-                      Hashtbl.fold (fun b _ acc -> Sset.add b acc)
-                        tr.s_buf_addrs acc)
-                    Sset.empty traces
-                in
-                Sset.iter
-                  (fun b ->
+                Array.iteri
+                  (fun b st ->
                     let per_lane =
                       Array.map
-                        (fun tr ->
-                          match Hashtbl.find_opt tr.s_buf_addrs b with
-                          | Some r -> Array.of_list (List.rev !r)
-                          | None -> [||])
+                        (fun tr -> Array.of_list (List.rev tr.s_buf_addrs.(b)))
                         traces
                     in
                     let maxlen =
@@ -1057,58 +1129,52 @@ let static_cost ?(scalars = []) kernel ~grid =
                         (fun m a -> max m (Array.length a))
                         0 per_lane
                     in
-                    let st = bstat_of bstats b in
-                    let seen = Hashtbl.create 64 in
-                    for k = 0 to maxlen - 1 do
-                      let step_addrs =
-                        Array.fold_left
-                          (fun acc a ->
-                            if k < Array.length a then a.(k) :: acc else acc)
-                          [] per_lane
-                      in
-                      let distinct = List.sort_uniq compare step_addrs in
-                      st.b_events <- st.b_events + List.length step_addrs;
-                      List.iter
-                        (fun a ->
-                          if not (Hashtbl.mem seen a) then
-                            Hashtbl.add seen a ())
-                        distinct;
-                      let banks = Hashtbl.create 32 in
-                      List.iter
-                        (fun a ->
-                          let bk = ((a mod warp_size) + warp_size) mod warp_size in
-                          let c =
-                            Option.value ~default:0 (Hashtbl.find_opt banks bk)
-                          in
-                          Hashtbl.replace banks bk (c + 1))
-                        distinct;
+                    if maxlen > 0 then begin
+                      st.b_touched <- true;
+                      let seen = Hashtbl.create 64 in
+                      for k = 0 to maxlen - 1 do
+                        let step_addrs =
+                          Array.fold_left
+                            (fun acc a ->
+                              if k < Array.length a then a.(k) :: acc else acc)
+                            [] per_lane
+                        in
+                        let distinct = List.sort_uniq compare step_addrs in
+                        st.b_events <- st.b_events + List.length step_addrs;
+                        List.iter
+                          (fun a ->
+                            if not (Hashtbl.mem seen a) then
+                              Hashtbl.add seen a ();
+                            let bk = ((a mod warp_size) + warp_size) mod warp_size in
+                            banks.(bk) <- banks.(bk) + 1;
+                            if banks.(bk) > st.b_bank then st.b_bank <- banks.(bk))
+                          distinct;
+                        Array.fill banks 0 warp_size 0
+                      done;
+                      (* Cache-amortised coalescing: a segment fetched at
+                         one transaction step stays resident for the
+                         warp's later steps (the Fermi L1 assumption), so
+                         efficiency is the distinct words consumed over
+                         the words of the distinct segments fetched —
+                         strided-burst row walks amortise to ~1.0 while a
+                         transposed walk still wastes 31/32 of each line. *)
+                      let segs = Hashtbl.create 16 in
                       Hashtbl.iter
-                        (fun _ c -> if c > st.b_bank then st.b_bank <- c)
-                        banks
-                    done;
-                    (* Cache-amortised coalescing: a segment fetched at
-                       one transaction step stays resident for the
-                       warp's later steps (the Fermi L1 assumption), so
-                       efficiency is the distinct words consumed over
-                       the words of the distinct segments fetched —
-                       strided-burst row walks amortise to ~1.0 while a
-                       transposed walk still wastes 31/32 of each line. *)
-                    let segs = Hashtbl.create 16 in
-                    Hashtbl.iter
-                      (fun a () ->
-                        let s = seg_of a in
-                        if not (Hashtbl.mem segs s) then Hashtbl.add segs s ())
-                      seen;
-                    st.b_useful <- st.b_useful + Hashtbl.length seen;
-                    st.b_fetched <-
-                      st.b_fetched + (warp_size * Hashtbl.length segs);
-                    st.b_distinct <- st.b_distinct + Hashtbl.length seen)
-                  bufs)
+                        (fun a () ->
+                          let s = seg_of a in
+                          if not (Hashtbl.mem segs s) then Hashtbl.add segs s ())
+                        seen;
+                      st.b_useful <- st.b_useful + Hashtbl.length seen;
+                      st.b_fetched <-
+                        st.b_fetched + (warp_size * Hashtbl.length segs);
+                      st.b_distinct <- st.b_distinct + Hashtbl.length seen
+                    end)
+                  bstats)
               starts;
             let lanes_f = float_of_int (max 1 !lane_count) in
             let branches =
-              List.map
-                (fun (id, label) ->
+              List.mapi
+                (fun id label ->
                   {
                     br_site = label;
                     br_divergent = site_div.(id);
@@ -1119,38 +1185,40 @@ let static_cost ?(scalars = []) kernel ~grid =
             in
             let divergent = List.filter (fun b -> b.br_divergent) branches in
             let buffers =
-              List.filter_map
-                (fun p ->
-                  match (p.kind, Hashtbl.find_opt bstats p.pname) with
-                  | Scalar, _ | _, None -> None
-                  | _, Some st ->
-                      let tf = float_of_int (max 1 st.b_threads) in
-                      Some
-                        {
-                          ba_buffer = p.pname;
-                          ba_reads = float_of_int st.b_reads /. nf;
-                          ba_class =
-                            (if
-                               st.b_gather > st.b_row
-                               && st.b_gather > st.b_col
-                             then `Gather
-                             else if st.b_col > st.b_row then `Column
-                             else `Row);
-                          ba_burst = st.b_burst /. tf;
-                          ba_efficiency =
-                            (if st.b_fetched = 0 then 1.0
-                             else
-                               float_of_int st.b_useful
-                               /. float_of_int st.b_fetched);
-                          ba_overlap =
-                            (if st.b_events = 0 then 0.0
-                             else
-                               1.0
-                               -. float_of_int st.b_distinct
-                                  /. float_of_int st.b_events);
-                          ba_bank_conflict = max 1 st.b_bank;
-                        })
-                kernel.params
+              List.concat
+                (List.mapi
+                   (fun i p ->
+                     let st = bstats.(i) in
+                     if p.kind = Scalar || not st.b_touched then []
+                     else
+                       let tf = float_of_int (max 1 st.b_threads) in
+                       [
+                         {
+                           ba_buffer = p.pname;
+                           ba_reads = float_of_int st.b_reads /. nf;
+                           ba_class =
+                             (if
+                                st.b_gather > st.b_row
+                                && st.b_gather > st.b_col
+                              then `Gather
+                              else if st.b_col > st.b_row then `Column
+                              else `Row);
+                           ba_burst = st.b_burst /. tf;
+                           ba_efficiency =
+                             (if st.b_fetched = 0 then 1.0
+                              else
+                                float_of_int st.b_useful
+                                /. float_of_int st.b_fetched);
+                           ba_overlap =
+                             (if st.b_events = 0 then 0.0
+                              else
+                                1.0
+                                -. float_of_int st.b_distinct
+                                   /. float_of_int st.b_events);
+                           ba_bank_conflict = max 1 st.b_bank;
+                         };
+                       ])
+                   kernel.params)
             in
             Ok
               {

@@ -14,7 +14,10 @@ type state = { gen : Codegen.generated; fstats : Gpu.Fuse.stats; undo : state op
 (* Sources are regenerated from the kernel tasks at render time, so the
    fingerprint covers only the structure the rewrites touch — otherwise
    a rendered and an unrendered copy of the same program would count as
-   two distinct states. *)
+   two distinct states.  The digest marshals with sharing: a
+   sharing-blind one ({!Optimizer.Cache.structural_digest}) merges
+   states this search has always kept apart, which changes its
+   explored-state count (pinned in test/optimizer). *)
 let fingerprint st =
   Optimizer.Cache.digest
     ( st.gen.Codegen.kernel_tasks,
@@ -234,19 +237,6 @@ let moves st =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay init rules =
-  List.fold_left
-    (fun st_opt rule ->
-      match st_opt with
-      | None -> None
-      | Some st -> (
-          match
-            List.find_opt (fun c -> c.Optimizer.Search.rule = rule) (moves st)
-          with
-          | None -> None
-          | Some c -> c.Optimizer.Search.apply ()))
-    (Some init) rules
-
 let tune ?device (gen : Codegen.generated) =
   Obs.Tracer.with_span ~cat:"mde" "mde.autotune" @@ fun () ->
   let rows, cols =
@@ -278,11 +268,8 @@ let tune ?device (gen : Codegen.generated) =
           base_us = o.Optimizer.Search.base_cost;
         })
   in
-  match replay init tuned.Optimizer.Cache.rules with
-  | Some st ->
-      let g =
-        if tuned.Optimizer.Cache.rules = [] then st.gen
-        else Codegen.render st.gen
-      in
-      (g, st.fstats, tuned.Optimizer.Cache.rules)
+  match Optimizer.Search.replay ~moves init tuned.Optimizer.Cache.rules with
+  | Some (st, rules) ->
+      let g = if rules = [] then st.gen else Codegen.render st.gen in
+      (g, st.fstats, rules)
   | None -> (gen, Gpu.Fuse.no_stats, [])

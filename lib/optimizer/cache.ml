@@ -15,12 +15,16 @@ let locked f =
 let key ~pipeline ~rows ~cols ~device ~digest =
   Printf.sprintf "%s/%dx%d/%s/%s" pipeline rows cols device digest
 
-let digest v =
+let digest_with flags v =
   (* Closures can hide in kernel-free metadata; fall back to the
      structural hash rather than refusing to cache. *)
-  match Marshal.to_string v [] with
+  match Marshal.to_string v flags with
   | s -> Digest.to_hex (Digest.string s)
   | exception _ -> Printf.sprintf "h%08x" (Hashtbl.hash v)
+
+let digest v = digest_with [] v
+
+let structural_digest v = digest_with [ Marshal.No_sharing ] v
 
 (* Compiler-generated names carry a process-global counter ("x$123",
    or "x_123" once sanitised for device code), so two compilations of
@@ -28,7 +32,7 @@ let digest v =
    digest renumbers those suffixes by first occurrence — keyed on the
    digits alone, so the "$" and "_" spellings of one counter value stay
    consistent — making the digest a function of plan structure only. *)
-let canonical_digest v =
+let canonical v =
   let ids = Hashtbl.create 16 in
   let canon s =
     let n = String.length s in
@@ -80,9 +84,14 @@ let canonical_digest v =
       end
       else o
   in
-  match digest (Obj.obj (copy (Obj.repr v))) with
-  | d -> d
-  | exception _ -> digest v
+  let d =
+    match digest (Obj.obj (copy (Obj.repr v))) with
+    | d -> d
+    | exception _ -> digest v
+  in
+  (d, canon)
+
+let canonical_digest v = fst (canonical v)
 
 let find_or_tune ~key f =
   match locked (fun () -> Hashtbl.find_opt table key) with

@@ -12,7 +12,10 @@
     carry caller-specific kernel labels), re-verifying each step. *)
 
 type tuned = {
-  rules : string list;  (** winning rewrite sequence, possibly empty *)
+  rules : string list;
+      (** winning rewrite sequence, possibly empty; a pipeline whose
+          names carry gensym counters stores them renumbered by
+          {!canonical} of its base plan *)
   tuned_us : float;  (** modelled frame time of the tuned plan *)
   base_us : float;  (** modelled frame time of the unoptimised plan *)
 }
@@ -27,11 +30,25 @@ val digest : 'a -> string
     plans so differently-labelled compiles of the same program share a
     key). *)
 
+val structural_digest : 'a -> string
+(** MD5 of the value marshalled without sharing: a function of its
+    structure alone, however its subterms happen to be shared in
+    memory.  The SAC search fingerprint: within one search every name
+    derives deterministically from the initial plan, so no renumbering
+    is needed. *)
+
 val canonical_digest : 'a -> string
 (** Like {!digest}, but with compiler-generated name counters
     (["x$123"] / ["x_123"] suffixes) renumbered by first occurrence
     before hashing, so two separate compilations of the same source —
-    whose gensym counters differ — still share a digest. *)
+    whose gensym counters differ — still share a digest.  The
+    cross-compile tuned-plan cache key. *)
+
+val canonical : 'a -> string * (string -> string)
+(** [canonical v] is [canonical_digest v] together with the renumbering
+    it applied, as a function on strings: names that occur in [v] map
+    to their canonical spelling, so a rule naming ["output$51"] in one
+    compile and ["output$97"] in another canonicalise alike. *)
 
 val find_or_tune : key:string -> (unit -> tuned) -> tuned
 (** Return the memoised result for [key], running the (possibly slow)

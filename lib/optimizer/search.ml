@@ -15,6 +15,8 @@ let m_rules_applied = Obs.Metrics.counter "optimizer.rules_applied"
 
 let m_rejections = Obs.Metrics.counter "optimizer.verify_rejections"
 
+let m_replay_divergences = Obs.Metrics.counter "optimizer.replay_divergences"
+
 (* A node's [path] is kept reversed (most recent rule first); the order
    below is the tie-break making the whole search deterministic. *)
 type 'p node = { plan : 'p; ncost : float; rpath : string list }
@@ -75,3 +77,20 @@ let run ?(beam = 2) ?(max_depth = 6) ~cost ~fingerprint ~moves init =
     explored = !explored;
     rejected = !rejected;
   }
+
+let replay ?(canon = Fun.id) ~moves init rules =
+  let rec go st applied = function
+    | [] -> Some (st, List.rev applied)
+    | rule :: rest -> (
+        match List.find_opt (fun c -> canon c.rule = rule) (moves st) with
+        | None -> None
+        | Some c -> (
+            match c.apply () with
+            | None -> None
+            | Some st' -> go st' (c.rule :: applied) rest))
+  in
+  match go init [] rules with
+  | Some _ as r -> r
+  | None ->
+      Obs.Metrics.incr m_replay_divergences;
+      None

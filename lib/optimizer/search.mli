@@ -49,3 +49,16 @@ val run :
     smaller rule paths).  Updates the [optimizer.candidates],
     [optimizer.rules_applied] and [optimizer.verify_rejections]
     counters. *)
+
+val replay :
+  ?canon:(string -> string) ->
+  moves:('p -> 'p candidate list) ->
+  'p ->
+  string list ->
+  ('p * string list) option
+(** [replay ~moves init rules] re-applies a recorded rule path: at each
+    step the first move whose [canon]-mapped rule (default: the rule
+    itself) equals the recorded one.  Returns the final plan and the
+    rules as this plan's moves spell them, or [None] — counted in
+    [optimizer.replay_divergences] — when a step is missing or its
+    rewrite no longer verifies. *)

@@ -25,7 +25,7 @@ let strip_labels (p : Plan.t) =
         p.Plan.items;
   }
 
-let fingerprint st = Optimizer.Cache.canonical_digest (strip_labels st.plan)
+let fingerprint st = Optimizer.Cache.structural_digest (strip_labels st.plan)
 
 (* The search scores hundreds of candidates per tune; materialising a
    fresh multi-megabyte argument tensor for each would dwarf the cost
@@ -190,21 +190,6 @@ let moves ~device st =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let replay ~device init rules =
-  List.fold_left
-    (fun st_opt rule ->
-      match st_opt with
-      | None -> None
-      | Some st -> (
-          match
-            List.find_opt
-              (fun c -> c.Optimizer.Search.rule = rule)
-              (moves ~device st)
-          with
-          | None -> None
-          | Some c -> c.Optimizer.Search.apply ()))
-    (Some init) rules
-
 let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
   Obs.Tracer.with_span ~cat:"sac" "sac.autotune" @@ fun () ->
   let rows, cols =
@@ -212,10 +197,13 @@ let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
     | (_, shape) :: _ when Array.length shape >= 2 -> (shape.(0), shape.(1))
     | _ -> (1, Shape.size p.Plan.result_shape)
   in
+  (* Rule names carry gensym targets ("interchange:output$51"), so the
+     cache holds them in the base plan's canonical numbering and a later
+     compile matches its own moves through its own renumbering. *)
+  let digest, canon = Optimizer.Cache.canonical (strip_labels p) in
   let key =
     Optimizer.Cache.key ~pipeline:"sac" ~rows ~cols
-      ~device:device.Gpu.Device.name
-      ~digest:(Optimizer.Cache.canonical_digest (strip_labels p))
+      ~device:device.Gpu.Device.name ~digest
   in
   let init = { plan = p; fstats = Gpu.Fuse.no_stats; undo = None } in
   let tuned =
@@ -226,7 +214,7 @@ let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
             ~fingerprint ~moves:(moves ~device) init
         in
         {
-          Optimizer.Cache.rules = o.Optimizer.Search.path;
+          Optimizer.Cache.rules = List.map canon o.Optimizer.Search.path;
           tuned_us = o.Optimizer.Search.best_cost;
           base_us = o.Optimizer.Search.base_cost;
         })
@@ -234,6 +222,9 @@ let tune ?(device = Gpu.Device.gtx480) (p : Plan.t) =
   (* Replay the memoised path on this caller's own plan (which may
      carry different labels); each step re-verifies.  A diverging
      replay falls back to the unoptimised plan. *)
-  match replay ~device init tuned.Optimizer.Cache.rules with
-  | Some st -> (st.plan, st.fstats, tuned.Optimizer.Cache.rules)
+  match
+    Optimizer.Search.replay ~canon ~moves:(moves ~device) init
+      tuned.Optimizer.Cache.rules
+  with
+  | Some (st, rules) -> (st.plan, st.fstats, rules)
   | None -> (p, Gpu.Fuse.no_stats, [])

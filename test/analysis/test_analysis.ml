@@ -843,12 +843,8 @@ let test_perf_strict_gate () =
 
 (* ---------- findings budget (Analysis.Config) ---------- *)
 
-let test_findings_cap () =
-  Fun.protect ~finally:(fun () ->
-      Analysis.Config.set_findings_cap Analysis.Config.default_findings_cap)
-  @@ fun () ->
-  Analysis.Config.set_findings_cap 3;
-  (* five OOB reads -> five findings against a budget of three *)
+(* Five OOB reads: five findings, more than a budget of three. *)
+let oob5_kernel kname =
   let reads =
     List.init 5 (fun i ->
         Kir.Read ("a", Kir.Bin (Kir.Add, Kir.Gid 0, Kir.Int (100 + i))))
@@ -858,18 +854,27 @@ let test_findings_cap () =
       (fun acc r -> Kir.Bin (Kir.Add, acc, r))
       (List.hd reads) (List.tl reads)
   in
-  let k =
-    {
-      vadd_kernel with
-      Kir.kname = "oob5";
-      params =
-        [
-          { Kir.pname = "a"; kind = Kir.In_buffer };
-          { Kir.pname = "out"; kind = Kir.Out_buffer };
-        ];
-      body = [ Kir.Store ("out", Kir.Gid 0, value) ];
-    }
-  in
+  {
+    vadd_kernel with
+    Kir.kname;
+    params =
+      [
+        { Kir.pname = "a"; kind = Kir.In_buffer };
+        { Kir.pname = "out"; kind = Kir.Out_buffer };
+      ];
+    body = [ Kir.Store ("out", Kir.Gid 0, value) ];
+  }
+
+let with_findings_cap n f =
+  Fun.protect ~finally:(fun () ->
+      Analysis.Config.set_findings_cap Analysis.Config.default_findings_cap)
+  @@ fun () ->
+  Analysis.Config.set_findings_cap n;
+  f ()
+
+let test_findings_cap () =
+  with_findings_cap 3 @@ fun () ->
+  let k = oob5_kernel "oob5" in
   let before =
     Option.value ~default:0 (Obs.Metrics.find "analysis.findings_dropped")
   in
@@ -886,6 +891,77 @@ let test_findings_cap () =
   Alcotest.(check bool) "truncation note" true
     (has_kind Analysis.Finding.Analysis_skipped fs);
   Alcotest.(check int) "dropped metric" (before + 2) after
+
+(* ---------- verdict memo ---------- *)
+
+let metric name = Option.value ~default:0 (Obs.Metrics.find name)
+
+(* Run [f] and return its result with the memo hit and miss deltas. *)
+let memo_deltas f =
+  let h = metric "analysis.memo_hits" and m = metric "analysis.memo_misses" in
+  let r = f () in
+  (r, metric "analysis.memo_hits" - h, metric "analysis.memo_misses" - m)
+
+let test_memo_mutant_hit () =
+  (* The kernel names are unique to this test, so the first call of
+     each checker is a miss and the second a hit. *)
+  let check () =
+    Analysis.Kir_check.check
+      ~buffers:[ ("a", 64); ("b", 61); ("out", 64) ]
+      ~grid:[| 64 |]
+      { vadd_kernel with Kir.kname = "memo_shrunk" }
+  in
+  let miss, h1, m1 = memo_deltas check in
+  let hit, h2, m2 = memo_deltas check in
+  Alcotest.(check (pair int int)) "first call misses" (0, 1) (h1, m1);
+  Alcotest.(check (pair int int)) "second call hits" (1, 0) (h2, m2);
+  Alcotest.(check bool) "mutant found" true
+    (has_kind Analysis.Finding.Oob_read miss);
+  Alcotest.(check bool) "hit = miss" true (hit = miss);
+  let race () =
+    let k = store_kernel "memo_twice" (Kir.Gid 0) in
+    Analysis.Race.check_group ~out:"out" ~len:64 ~full_cover:false
+      [ (k, [| 64 |]); (k, [| 64 |]) ]
+  in
+  let miss, _, m1 = memo_deltas race in
+  let hit, h2, _ = memo_deltas race in
+  Alcotest.(check int) "race miss" 1 m1;
+  Alcotest.(check int) "race hit" 1 h2;
+  Alcotest.(check bool) "race found" true (has_kind Analysis.Finding.Race miss);
+  Alcotest.(check bool) "race hit = miss" true (hit = miss)
+
+let test_memo_hit_counts_dropped () =
+  with_findings_cap 3 @@ fun () ->
+  let k = oob5_kernel "memo_oob5" in
+  let check () =
+    let before = metric "analysis.findings_dropped" in
+    ignore
+      (Analysis.Kir_check.check ~buffers:[ ("a", 64); ("out", 64) ]
+         ~grid:[| 64 |] k);
+    metric "analysis.findings_dropped" - before
+  in
+  let dropped_miss, _, m = memo_deltas check in
+  let dropped_hit, h, _ = memo_deltas check in
+  Alcotest.(check int) "miss then hit" 2 (m + h);
+  Alcotest.(check int) "miss drops two" 2 dropped_miss;
+  Alcotest.(check int) "hit drops two" 2 dropped_hit
+
+let test_memo_keyed_on_cap () =
+  let k = oob5_kernel "memo_cap" in
+  let check cap =
+    with_findings_cap cap @@ fun () ->
+    memo_deltas (fun () ->
+        Analysis.Kir_check.check ~buffers:[ ("a", 64); ("out", 64) ]
+          ~grid:[| 64 |] k)
+  in
+  let three, _, m3 = check 3 in
+  let four, _, m4 = check 4 in
+  let again, h3, _ = check 3 in
+  Alcotest.(check (pair int int)) "each cap misses once" (1, 1) (m3, m4);
+  Alcotest.(check int) "cap 3 kept three" 4 (List.length three);
+  Alcotest.(check int) "cap 4 kept four" 5 (List.length four);
+  Alcotest.(check int) "cap 3 again hits" 1 h3;
+  Alcotest.(check bool) "same verdict" true (again = three)
 
 let () =
   Alcotest.run "analysis"
@@ -952,6 +1028,14 @@ let () =
             test_perf_divergent_branch_mutant;
           Alcotest.test_case "strict-gate" `Quick test_perf_strict_gate;
           Alcotest.test_case "findings-cap" `Quick test_findings_cap;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "mutant hit = miss" `Quick test_memo_mutant_hit;
+          Alcotest.test_case "hit counts dropped" `Quick
+            test_memo_hit_counts_dropped;
+          Alcotest.test_case "keyed on findings cap" `Quick
+            test_memo_keyed_on_cap;
         ] );
       ( "mde-pipeline",
         [

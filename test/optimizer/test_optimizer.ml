@@ -335,6 +335,125 @@ let test_mde_auto_bit_identical () =
       ("b_out", Video.Frame.B);
     ]
 
+(* ---------- Search behaviour, pinned ---------- *)
+
+(* At 72x64 both searches explore a non-trivial space.  The expected
+   rule paths and counts pin the search itself: a fingerprint, gate
+   memo or cost change that alters what it explores shows up here. *)
+let pin_rows = 72
+
+let pin_cols = 64
+
+(* Gensym counters ("output$51") depend on what the process compiled
+   before; mask their digits. *)
+let mask_gensyms s =
+  let b = Stdlib.Buffer.create (String.length s) in
+  let n = String.length s in
+  let is_digit i = i < n && s.[i] >= '0' && s.[i] <= '9' in
+  let i = ref 0 in
+  while !i < n do
+    Stdlib.Buffer.add_char b s.[!i];
+    if (s.[!i] = '$' || s.[!i] = '_') && is_digit (!i + 1) then begin
+      Stdlib.Buffer.add_char b 'N';
+      incr i;
+      while is_digit !i do
+        incr i
+      done
+    end
+    else incr i
+  done;
+  Stdlib.Buffer.contents b
+
+(* [f ()] with the search counters' deltas: candidates, explored
+   (rules applied) and rejected. *)
+let with_search_counts f =
+  let m name = Option.value ~default:0 (Obs.Metrics.find name) in
+  let c = m "optimizer.candidates"
+  and a = m "optimizer.rules_applied"
+  and r = m "optimizer.verify_rejections" in
+  let x = f () in
+  ( x,
+    ( m "optimizer.candidates" - c,
+      m "optimizer.rules_applied" - a,
+      m "optimizer.verify_rejections" - r ) )
+
+let check_search name ~path ~counts (rules, got) =
+  Alcotest.(check (list string)) (name ^ " rule path") path
+    (List.map mask_gensyms rules);
+  Alcotest.(check (triple int int int))
+    (name ^ " candidates, explored, rejected")
+    counts got
+
+let pin_sac_source () =
+  Sac.Programs.downscaler ~generic:false ~rows:pin_rows ~cols:pin_cols
+
+let test_sac_search_pinned () =
+  Optimizer.Cache.clear ();
+  let off =
+    fst
+      (Sac_cuda.Compile.plan_of_source ~opt:Optimizer.Mode.Off
+         (pin_sac_source ()) ~entry:"main")
+  in
+  let (_, _, rules), counts =
+    with_search_counts (fun () -> Sac_cuda.Autotune.tune off)
+  in
+  check_search "sac" ~path:[ "fuse!"; "interchange:output$N" ]
+    ~counts:(62, 31, 14) (rules, counts)
+
+let test_mde_search_pinned () =
+  Optimizer.Cache.clear ();
+  let off =
+    Mde.Chain.transform_exn ~opt:Optimizer.Mode.Off
+      (Mde.Chain.downscaler_model ~rows:pin_rows ~cols:pin_cols)
+  in
+  let (_, _, rules), counts =
+    with_search_counts (fun () -> Mde.Autotune.tune off)
+  in
+  check_search "mde"
+    ~path:[ "fuse!"; "interchange:bvf"; "interchange:gvf"; "interchange:rvf" ]
+    ~counts:(173, 117, 43) (rules, counts)
+
+(* A second --opt auto compile in one process replays the cached rule
+   path on a plan whose gensym counters moved on; it must land on the
+   searched plan, not fall back to the unoptimised one. *)
+let divergences () =
+  Option.value ~default:0 (Obs.Metrics.find "optimizer.replay_divergences")
+
+let test_sac_replay_across_compiles () =
+  Optimizer.Cache.clear ();
+  let compile () =
+    fst
+      (Sac_cuda.Compile.plan_of_source ~opt:Optimizer.Mode.Auto
+         (pin_sac_source ()) ~entry:"main")
+  in
+  let searched = compile () in
+  let before = divergences () in
+  let replayed = compile () in
+  Alcotest.(check int) "no divergence" before (divergences ());
+  Alcotest.(check int) "same kernel count"
+    (Sac_cuda.Plan.kernel_count searched)
+    (Sac_cuda.Plan.kernel_count replayed);
+  Alcotest.(check (float 0.0)) "same modelled us"
+    (Sac_cuda.Autotune.modelled_us searched)
+    (Sac_cuda.Autotune.modelled_us replayed)
+
+let test_mde_replay_across_compiles () =
+  Optimizer.Cache.clear ();
+  let compile () =
+    Mde.Chain.transform_exn ~opt:Optimizer.Mode.Auto
+      (Mde.Chain.downscaler_model ~rows:pin_rows ~cols:pin_cols)
+  in
+  let searched = compile () in
+  let before = divergences () in
+  let replayed = compile () in
+  Alcotest.(check int) "no divergence" before (divergences ());
+  Alcotest.(check int) "same kernel count"
+    (List.length searched.Mde.Codegen.kernel_tasks)
+    (List.length replayed.Mde.Codegen.kernel_tasks);
+  Alcotest.(check (float 0.0)) "same modelled us"
+    (Mde.Autotune.modelled_us searched)
+    (Mde.Autotune.modelled_us replayed)
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -385,5 +504,14 @@ let () =
             test_mde_auto_transform_traces;
           Alcotest.test_case "tuned program bit-identical" `Quick
             test_mde_auto_bit_identical;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "sac 72x64 search" `Quick test_sac_search_pinned;
+          Alcotest.test_case "mde 72x64 search" `Quick test_mde_search_pinned;
+          Alcotest.test_case "sac replay across compiles" `Quick
+            test_sac_replay_across_compiles;
+          Alcotest.test_case "mde replay across compiles" `Quick
+            test_mde_replay_across_compiles;
         ] );
     ]

@@ -2,16 +2,19 @@
    over every kernel the repo's example programs produce.
 
    For each built-in kernel of both pipelines (the six SAC programs and
-   the MDE downscaler chain, each without and with the fuse optimizer)
-   this asserts that {!Gpu.Kir.static_cost} reproduces the
-   execution-counted {!Gpu.Kir.profile_threads} profile exactly —
-   reads/writes/ops per thread, access class and burst length — and
-   then runs {!Analysis.Perf_lint} over the plan, requiring the shipped
-   kernels to come out free of error-severity perf findings.
+   the MDE downscaler chain, each under --opt off, fuse and auto, so
+   tiled and interchanged kernels are covered) this asserts that
+   {!Gpu.Kir.static_cost} reproduces the execution-counted
+   {!Gpu.Kir.profile_threads} profile exactly — reads/writes/ops per
+   thread, access class and burst length — prints the static per-buffer
+   and divergence summaries, and then runs {!Analysis.Perf_lint} over
+   the plan, requiring the shipped kernels to come out free of
+   error-severity perf findings.
 
-   Exits non-zero on any disagreement or error finding, so the
-   `perf-lint` alias (attached to runtest) fails when the static
-   analysis drifts from the executed truth. *)
+   Exits non-zero on any disagreement or error finding.  The
+   `perf-lint` alias (attached to runtest) also diffs the printed
+   summaries against perf_lint.expected, so a drift in the summaries
+   fails too; after an intended change, `dune promote` updates it. *)
 
 let rows = 72
 
@@ -164,4 +167,5 @@ let () =
   Analysis.Config.set_perf_mode Analysis.Config.Off;
   sweep Optimizer.Mode.Off "";
   sweep Optimizer.Mode.Fuse " (fused)";
+  sweep Optimizer.Mode.Auto " (auto)";
   if !failed then exit 1
