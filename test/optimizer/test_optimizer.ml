@@ -413,6 +413,82 @@ let test_mde_search_pinned () =
     ~path:[ "fuse!"; "interchange:bvf"; "interchange:gvf"; "interchange:rvf" ]
     ~counts:(173, 117, 43) (rules, counts)
 
+(* The SAC tile gate: coarsening is withheld from items whose grid
+   reaches 4x the device's saturation (92 160 threads on the GTX480).
+   An item's size is its largest generator grid.  No 72x64 item gets
+   there on the GTX480; on a one-SM device that saturates at 128
+   threads the 512-thread gate applies to the horizontal filter
+   (72x8 = 576 threads) but not to the vertical one (8x24 = 192).  The lists
+   were recorded before the move generator moved into the shared
+   driver, and pin it. *)
+let tiny_device =
+  {
+    Gpu.Device.gtx480 with
+    Gpu.Device.name = "tiny";
+    sm_count = 1;
+    resident_threads_per_sm = 128;
+  }
+
+(* Rule names in the plan's canonical numbering, so the two items'
+   targets stay distinct but do not depend on earlier compiles. *)
+let sac_move_rules ~device plan =
+  let _, canon = Optimizer.Cache.canonical plan in
+  List.map
+    (fun (c : _ Optimizer.Search.candidate) -> canon c.Optimizer.Search.rule)
+    (Sac_cuda.Autotune.moves ~device
+       { Sac_cuda.Autotune.plan; fstats = Gpu.Fuse.no_stats; undo = None })
+
+let test_sac_tile_gate () =
+  let off =
+    fst
+      (Sac_cuda.Compile.plan_of_source ~opt:Optimizer.Mode.Off
+         (pin_sac_source ()) ~entry:"main")
+  in
+  Alcotest.(check (list string)) "gtx480 offers every tile"
+    [
+      "fuse!";
+      "fuse:output$0";
+      "interchange:output$0";
+      "tile:output$0:x2";
+      "tile:output$0:x4";
+      "interchange:output$99";
+      "tile:output$99:x2";
+      "tile:output$99:x4";
+    ]
+    (sac_move_rules ~device:Gpu.Device.gtx480 off);
+  Alcotest.(check (list string)) "tiny device withholds big-grid tiles"
+    [
+      "fuse!";
+      "fuse:output$0";
+      "interchange:output$0";
+      "interchange:output$99";
+      "tile:output$99:x2";
+      "tile:output$99:x4";
+    ]
+    (sac_move_rules ~device:tiny_device off)
+
+(* The Gaspard2 route has no tile gate: every kernel task is offered
+   both coarsening factors, on any device. *)
+let test_mde_always_tiles () =
+  let off =
+    Mde.Chain.transform_exn ~opt:Optimizer.Mode.Off
+      (Mde.Chain.downscaler_model ~rows:pin_rows ~cols:pin_cols)
+  in
+  let rules =
+    List.map
+      (fun (c : _ Optimizer.Search.candidate) -> c.Optimizer.Search.rule)
+      (Mde.Autotune.moves
+         { Mde.Autotune.gen = off; fstats = Gpu.Fuse.no_stats; undo = None })
+  in
+  List.iter
+    (fun (kt : Mde.Codegen.kernel_task) ->
+      List.iter
+        (fun factor ->
+          let rule = Printf.sprintf "tile:%s:x%d" kt.Mde.Codegen.instance factor in
+          Alcotest.(check bool) (rule ^ " offered") true (List.mem rule rules))
+        [ 2; 4 ])
+    off.Mde.Codegen.kernel_tasks
+
 (* A second --opt auto compile in one process replays the cached rule
    path on a plan whose gensym counters moved on; it must land on the
    searched plan, not fall back to the unoptimised one. *)
@@ -509,6 +585,8 @@ let () =
         [
           Alcotest.test_case "sac 72x64 search" `Quick test_sac_search_pinned;
           Alcotest.test_case "mde 72x64 search" `Quick test_mde_search_pinned;
+          Alcotest.test_case "sac tile gate" `Quick test_sac_tile_gate;
+          Alcotest.test_case "mde always tiles" `Quick test_mde_always_tiles;
           Alcotest.test_case "sac replay across compiles" `Quick
             test_sac_replay_across_compiles;
           Alcotest.test_case "mde replay across compiles" `Quick
