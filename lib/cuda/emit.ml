@@ -1,88 +1,5 @@
 open Gpu
 
-let binop_is_call = function Kir.Min | Kir.Max -> true | _ -> false
-
-let binop_text = function
-  | Kir.Add -> "+"
-  | Kir.Sub -> "-"
-  | Kir.Mul -> "*"
-  | Kir.Div -> "/"
-  | Kir.Mod -> "%"
-  | Kir.Min -> "min"
-  | Kir.Max -> "max"
-  | Kir.Lt -> "<"
-  | Kir.Le -> "<="
-  | Kir.Gt -> ">"
-  | Kir.Ge -> ">="
-  | Kir.Eq -> "=="
-  | Kir.Ne -> "!="
-  | Kir.And -> "&&"
-  | Kir.Or -> "||"
-
-let rec expr buf = function
-  | Kir.Int n ->
-      if n < 0 then Printf.bprintf buf "(%d)" n
-      else Printf.bprintf buf "%d" n
-  | Kir.Gid d -> Printf.bprintf buf "gid%d" d
-  | Kir.Param p -> Stdlib.Buffer.add_string buf p
-  | Kir.Var v -> Stdlib.Buffer.add_string buf v
-  | Kir.Read (b, i) ->
-      Printf.bprintf buf "%s[" b;
-      expr buf i;
-      Stdlib.Buffer.add_char buf ']'
-  | Kir.Bin (op, a, b) when binop_is_call op ->
-      Printf.bprintf buf "%s(" (binop_text op);
-      expr buf a;
-      Stdlib.Buffer.add_string buf ", ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Bin (op, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf a;
-      Printf.bprintf buf " %s " (binop_text op);
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Select (c, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf c;
-      Stdlib.Buffer.add_string buf " ? ";
-      expr buf a;
-      Stdlib.Buffer.add_string buf " : ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
-  match s with
-  | Kir.Let (v, e) ->
-      Printf.bprintf buf "%sint %s = " pad v;
-      expr buf e;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.Store (b, i, v) ->
-      Printf.bprintf buf "%s%s[" pad b;
-      expr buf i;
-      Stdlib.Buffer.add_string buf "] = ";
-      expr buf v;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.If (c, t, e) ->
-      Printf.bprintf buf "%sif (" pad;
-      expr buf c;
-      Stdlib.Buffer.add_string buf ") {\n";
-      List.iter (stmt buf (indent + 4)) t;
-      if e <> [] then begin
-        Printf.bprintf buf "%s} else {\n" pad;
-        List.iter (stmt buf (indent + 4)) e
-      end;
-      Printf.bprintf buf "%s}\n" pad
-  | Kir.For { var; lo; hi; body } ->
-      Printf.bprintf buf "%sfor (int %s = " pad var;
-      expr buf lo;
-      Printf.bprintf buf "; %s < " var;
-      expr buf hi;
-      Printf.bprintf buf "; %s++) {\n" var;
-      List.iter (stmt buf (indent + 4)) body;
-      Printf.bprintf buf "%s}\n" pad
-
 let param_text (p : Kir.param) =
   match p.kind with
   | Kir.Scalar -> Printf.sprintf "int %s" p.pname
@@ -90,47 +7,42 @@ let param_text (p : Kir.param) =
   | Kir.Out_buffer -> Printf.sprintf "int *%s" p.pname
 
 (* Row-major grids: dimension (rank-1) is the fastest-varying and maps
-   to CUDA x, (rank-2) to y, (rank-3) to z. *)
-let cuda_axis rank d =
-  match rank - 1 - d with
-  | 0 -> "x"
-  | 1 -> "y"
-  | 2 -> "z"
-  | _ -> invalid_arg "Cuda.Emit: grids of rank > 3 are not supported"
-
-let kernel ~grid (k : Kir.t) =
-  let rank = Ndarray.Shape.rank grid in
-  if rank <> k.Kir.grid_rank then invalid_arg "Cuda.Emit.kernel: grid rank";
-  let buf = Stdlib.Buffer.create 512 in
-  Printf.bprintf buf "__global__ void %s(%s)\n{\n" k.Kir.kname
-    (String.concat ", " (List.map param_text k.Kir.params));
-  for d = 0 to rank - 1 do
-    let a = cuda_axis rank d in
+   to CUDA x, (rank-2) to y, (rank-3) to z.  Grids of higher rank run
+   as a 1-D launch over their flattened size and decompose the linear
+   thread id like the OpenCL and Metal emitters. *)
+let prologue buf grid =
+  let rank = Array.length grid in
+  if rank > 3 then begin
     Printf.bprintf buf
-      "    int gid%d = blockIdx.%s * blockDim.%s + threadIdx.%s;\n" d a a a
-  done;
-  if rank > 0 then begin
-    let guards =
-      List.init rank (fun d -> Printf.sprintf "gid%d >= %d" d grid.(d))
-    in
-    Printf.bprintf buf "    if (%s) return;\n" (String.concat " || " guards)
-  end;
-  List.iter (stmt buf 4) k.Kir.body;
-  Stdlib.Buffer.add_string buf "}\n";
-  Stdlib.Buffer.contents buf
+      "    int iGID = blockIdx.x * blockDim.x + threadIdx.x;\n";
+    Printf.bprintf buf "    if (iGID >= %d) return;\n"
+      (Ndarray.Shape.size grid);
+    C_print.linear_gids buf ~var:"iGID" grid
+  end
+  else begin
+    for d = 0 to rank - 1 do
+      let a = [| "x"; "y"; "z" |].(rank - 1 - d) in
+      Printf.bprintf buf
+        "    int gid%d = blockIdx.%s * blockDim.%s + threadIdx.%s;\n" d a a a
+    done;
+    if rank > 0 then begin
+      let guards =
+        List.init rank (fun d -> Printf.sprintf "gid%d >= %d" d grid.(d))
+      in
+      Printf.bprintf buf "    if (%s) return;\n" (String.concat " || " guards)
+    end
+  end
 
-type host_step =
-  | Comment of string
-  | Alloc of { dst : string; len : int }
-  | Memcpy_h2d of { dst : string; src : string; len : int }
-  | Memcpy_d2h of { dst : string; src : string; len : int }
-  | Launch of {
-      kernel : Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Host_code of string
-  | Free of { name : string }
+let dialect =
+  {
+    C_print.name = "Cuda.Emit";
+    keyword = "__global__ void";
+    params = List.map param_text;
+    param_sep = ", ";
+    prologue;
+  }
+
+let kernel ~grid k = C_print.kernel dialect ~grid k
 
 let block_for_rank rank =
   (* 256 threads per block, shaped to the grid rank: the configuration
@@ -141,9 +53,12 @@ let block_for_rank rank =
   | _ -> (16, 4, 4)
 
 let launch_text buf (k : Kir.t) grid args =
-  let rank = Ndarray.Shape.rank grid in
+  let dims =
+    if Ndarray.Shape.rank grid > 3 then [| Ndarray.Shape.size grid |] else grid
+  in
+  let rank = Array.length dims in
   let bx, by, bz = block_for_rank rank in
-  let extent d = if d < rank then grid.(rank - 1 - d) else 1 in
+  let extent d = if d < rank then dims.(rank - 1 - d) else 1 in
   let ceil_div a b = (a + b - 1) / b in
   Printf.bprintf buf "    {\n";
   Printf.bprintf buf "        dim3 block(%d, %d, %d);\n" bx by bz;
@@ -151,16 +66,7 @@ let launch_text buf (k : Kir.t) grid args =
     (ceil_div (extent 0) bx)
     (ceil_div (extent 1) by)
     (ceil_div (extent 2) bz);
-  let actuals =
-    List.map
-      (fun (p : Kir.param) ->
-        match List.assoc_opt p.Kir.pname args with
-        | Some a -> a
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Cuda.Emit: missing actual for %s" p.Kir.pname))
-      k.Kir.params
-  in
+  let actuals = List.map snd (C_print.actuals dialect k args) in
   Printf.bprintf buf "        %s<<<grid, block>>>(%s);\n" k.Kir.kname
     (String.concat ", " actuals);
   Printf.bprintf buf "    }\n"
@@ -176,33 +82,30 @@ let program ~name ~kernels ~steps =
      #include <stdio.h>\n\
      #include <stdlib.h>\n\n"
     name;
-  List.iter
-    (fun (k, grid) ->
-      Stdlib.Buffer.add_string buf (kernel ~grid k);
-      Stdlib.Buffer.add_char buf '\n')
-    kernels;
+  C_print.kernels dialect buf kernels;
   Printf.bprintf buf "int main(void)\n{\n";
   List.iter
     (fun step ->
       match step with
-      | Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | Alloc { dst; len } ->
+      | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
+      | C_print.Alloc { dst; len } ->
           Printf.bprintf buf "    int *%s;\n" dst;
           Printf.bprintf buf
             "    cudaMalloc((void **)&%s, %d * sizeof(int));\n" dst len
-      | Memcpy_h2d { dst; src; len } ->
+      | C_print.Upload { dst; src; len } ->
           Printf.bprintf buf
             "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
              cudaMemcpyHostToDevice);\n"
             dst src len
-      | Memcpy_d2h { dst; src; len } ->
+      | C_print.Download { dst; src; len } ->
           Printf.bprintf buf
             "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
              cudaMemcpyDeviceToHost);\n"
             dst src len
-      | Launch { kernel; grid; args } -> launch_text buf kernel grid args
-      | Host_code c -> Printf.bprintf buf "%s\n" c
-      | Free { name } -> Printf.bprintf buf "    cudaFree(%s);\n" name)
+      | C_print.Launch { kernel; grid; args } ->
+          launch_text buf kernel grid args
+      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Free { name } -> Printf.bprintf buf "    cudaFree(%s);\n" name)
     steps;
   Printf.bprintf buf "    cudaDeviceSynchronize();\n    return 0;\n}\n";
   Stdlib.Buffer.contents buf

@@ -678,7 +678,7 @@ let profile_threads kernel ~args ~grid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Debug printing                                                      *)
+(* Operator spellings and divergence-site labels                      *)
 (* ------------------------------------------------------------------ *)
 
 let binop_symbol = function
@@ -710,37 +710,6 @@ let rec pp_expr ppf = function
       Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_symbol op) pp_expr b
   | Select (c, a, b) ->
       Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
-
-let rec pp_stmt ppf = function
-  | Let (v, e) -> Format.fprintf ppf "int %s = %a;" v pp_expr e
-  | Store (b, i, v) ->
-      Format.fprintf ppf "%s[%a] = %a;" b pp_expr i pp_expr v
-  | If (c, t, []) ->
-      Format.fprintf ppf "@[<v 2>if (%a) {@ %a@]@ }" pp_expr c pp_stmts t
-  | If (c, t, e) ->
-      Format.fprintf ppf "@[<v 2>if (%a) {@ %a@]@ @[<v 2>} else {@ %a@]@ }"
-        pp_expr c pp_stmts t pp_stmts e
-  | For { var; lo; hi; body } ->
-      Format.fprintf ppf
-        "@[<v 2>for (int %s = %a; %s < %a; %s++) {@ %a@]@ }" var pp_expr lo
-        var pp_expr hi var pp_stmts body
-
-and pp_stmts ppf stmts =
-  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_stmt ppf stmts
-
-let pp ppf k =
-  let pp_param ppf p =
-    match p.kind with
-    | Scalar -> Format.fprintf ppf "int %s" p.pname
-    | In_buffer -> Format.fprintf ppf "const int *%s" p.pname
-    | Out_buffer -> Format.fprintf ppf "int *%s" p.pname
-  in
-  Format.fprintf ppf "@[<v 2>kernel %s(%a) /* grid rank %d */ {@ %a@]@ }"
-    k.kname
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       pp_param)
-    k.params k.grid_rank pp_stmts k.body
 
 (* ------------------------------------------------------------------ *)
 (* Static (data-free) cost derivation                                  *)

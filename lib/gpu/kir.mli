@@ -219,6 +219,6 @@ val burst_of_addrs : int list -> float
 (** Mean length of maximal consecutive-address runs of a read trace
     (most recent first). *)
 
-val pp : Format.formatter -> t -> unit
-(** Debug printer (C-like pseudocode; the real emitters live in the
-    [cuda] and [opencl] libraries). *)
+val binop_symbol : binop -> string
+(** The C operator (or, for [Min]/[Max], function) spelling of an
+    operator, shared by the source emitters ({!C_print}). *)

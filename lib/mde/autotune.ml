@@ -1,6 +1,4 @@
-(* Rewrite-rule autotuning over generated ArrayOL kernel programs.
-
-   The cost runner below replays exactly the dataflow Chain.run
+(* The cost runner below replays exactly the dataflow Chain.run
    executes — boundary uploads, kernel launches in schedule order with
    per-port buffers, boundary read-backs — against a timing-only
    context, so the search objective is the same modelled time the
@@ -9,8 +7,6 @@
 
 open Ndarray
 
-type state = { gen : Codegen.generated; fstats : Gpu.Fuse.stats; undo : state option }
-
 (* Sources are regenerated from the kernel tasks at render time, so the
    fingerprint covers only the structure the rewrites touch — otherwise
    a rendered and an unrendered copy of the same program would count as
@@ -18,34 +14,13 @@ type state = { gen : Codegen.generated; fstats : Gpu.Fuse.stats; undo : state op
    sharing-blind one ({!Optimizer.Cache.structural_digest}) merges
    states this search has always kept apart, which changes its
    explored-state count (pinned in test/optimizer). *)
-let fingerprint st =
+let fingerprint (g : Codegen.generated) =
   Optimizer.Cache.digest
-    ( st.gen.Codegen.kernel_tasks,
-      st.gen.Codegen.levels,
-      st.gen.Codegen.connections )
+    (g.Codegen.kernel_tasks, g.Codegen.levels, g.Codegen.connections)
 
 (* ------------------------------------------------------------------ *)
 (* Cost: schedule replay in a timing-only context                      *)
 (* ------------------------------------------------------------------ *)
-
-(* Shared synthetic upload payloads, one per size: the search scores
-   hundreds of candidates per tune and timing-only writes never read
-   the data back mutated. *)
-let input_lock = Mutex.create ()
-
-let input_pool : (int, int array) Hashtbl.t = Hashtbl.create 8
-
-let synthetic_input n =
-  Mutex.lock input_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock input_lock)
-    (fun () ->
-      match Hashtbl.find_opt input_pool n with
-      | Some a -> a
-      | None ->
-          let a = Array.init n (fun i -> i mod 251) in
-          Hashtbl.replace input_pool n a;
-          a)
 
 let modelled_us ?device (gen : Codegen.generated) =
   let ctx =
@@ -68,7 +43,8 @@ let modelled_us ?device (gen : Codegen.generated) =
       let mem =
         Opencl.Runtime.create_buffer ctx ~name:p.Arrayol.Model.pname n
       in
-      Opencl.Runtime.enqueue_write_buffer queue mem (synthetic_input n);
+      Opencl.Runtime.enqueue_write_buffer queue mem
+        (Optimizer.Tune.synthetic n);
       Hashtbl.replace buffers (Arrayol.Model.Boundary p.Arrayol.Model.pname) mem)
     gen.Codegen.boundary_inputs;
   let source_of target =
@@ -133,12 +109,12 @@ let modelled_us ?device (gen : Codegen.generated) =
   Opencl.Runtime.elapsed_us ctx
 
 (* ------------------------------------------------------------------ *)
-(* Moves                                                               *)
+(* View                                                                *)
 (* ------------------------------------------------------------------ *)
 
 (* Rewrite one kernel task through a grid-level rule; [None] when the
    rule does not apply or the rewritten task fails the verifier. *)
-let rewrite_task st instance f =
+let rewrite_task (g : Codegen.generated) instance f =
   let changed = ref false in
   let kernel_tasks =
     List.map
@@ -147,129 +123,42 @@ let rewrite_task st instance f =
         else
           match f (kt.Codegen.kernel, kt.Codegen.grid) with
           | Some (kernel, grid)
-            when Verify.check
-                   [ { kt with Codegen.kernel; grid } ]
-                 = [] ->
+            when Verify.check [ { kt with Codegen.kernel; grid } ] = [] ->
               changed := true;
               { kt with Codegen.kernel; grid }
           | _ -> kt)
-      st.gen.Codegen.kernel_tasks
-  in
-  if !changed then
-    Some
-      {
-        gen = { st.gen with Codegen.kernel_tasks };
-        fstats = st.fstats;
-        undo = Some st;
-      }
-  else None
-
-let tile_factors = [ 2; 4 ]
-
-let moves st =
-  let g = st.gen in
-  let fuse_moves =
-    List.map
-      (fun (rule, apply) ->
-        {
-          Optimizer.Search.rule;
-          apply =
-            (fun () ->
-              Option.map
-                (fun (g', s) ->
-                  {
-                    gen = g';
-                    fstats = Gpu.Fuse.add_stats st.fstats s;
-                    undo = Some st;
-                  })
-                (apply ()));
-        })
-      (Fuse_chain.candidates g)
-  in
-  let fuse_all =
-    {
-      Optimizer.Search.rule = "fuse!";
-      apply =
-        (fun () ->
-          let g', s = Fuse_chain.optimize g in
-          if s.Gpu.Fuse.kernels_eliminated = 0 then None
-          else
-            Some
-              {
-                gen = g';
-                fstats = Gpu.Fuse.add_stats st.fstats s;
-                undo = Some st;
-              });
-    }
-  in
-  let fission =
-    match st.undo with
-    | None -> []
-    | Some prev ->
-        [ { Optimizer.Search.rule = "fission"; apply = (fun () -> Some prev) } ]
-  in
-  let per_task =
-    List.concat_map
-      (fun kt ->
-        let inst = kt.Codegen.instance in
-        let ic =
-          {
-            Optimizer.Search.rule = "interchange:" ^ inst;
-            apply = (fun () -> rewrite_task st inst Optimizer.Rules.interchange);
-          }
-        in
-        let tiles =
-          List.map
-            (fun factor ->
-              {
-                Optimizer.Search.rule = Printf.sprintf "tile:%s:x%d" inst factor;
-                apply =
-                  (fun () -> rewrite_task st inst (Optimizer.Rules.tile ~factor));
-              })
-            tile_factors
-        in
-        ic :: tiles)
       g.Codegen.kernel_tasks
   in
-  (fuse_all :: fuse_moves) @ fission @ per_task
+  if !changed then Some { g with Codegen.kernel_tasks } else None
 
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
+let view ?device () =
+  {
+    Optimizer.Tune.pipeline = "mde";
+    device =
+      (match device with
+      | Some (d : Gpu.Device.t) -> d.Gpu.Device.name
+      | None -> "default");
+    shape =
+      (fun g ->
+        match g.Codegen.boundary_inputs with
+        | p :: _ when Array.length p.Arrayol.Model.pshape >= 2 ->
+            (p.Arrayol.Model.pshape.(0), p.Arrayol.Model.pshape.(1))
+        | _ -> (1, 1));
+    cost = modelled_us ?device;
+    fingerprint;
+    (* Task instance names carry no gensym counters: the fingerprint is
+       the cache digest and rule names need no renaming. *)
+    canonical = (fun g -> (fingerprint g, Fun.id));
+    fuse_candidates = Fuse_chain.candidates;
+    fuse_all = Fuse_chain.optimize;
+    units =
+      (fun g ->
+        List.map
+          (fun kt -> (kt.Codegen.instance, [ 2; 4 ]))
+          g.Codegen.kernel_tasks);
+    rewrite = rewrite_task;
+  }
 
-let tune ?device (gen : Codegen.generated) =
-  Obs.Tracer.with_span ~cat:"mde" "mde.autotune" @@ fun () ->
-  let rows, cols =
-    match gen.Codegen.boundary_inputs with
-    | p :: _ when Array.length p.Arrayol.Model.pshape >= 2 ->
-        (p.Arrayol.Model.pshape.(0), p.Arrayol.Model.pshape.(1))
-    | _ -> (1, 1)
-  in
-  let device_name =
-    match device with
-    | Some (d : Gpu.Device.t) -> d.Gpu.Device.name
-    | None -> "default"
-  in
-  let init = { gen; fstats = Gpu.Fuse.no_stats; undo = None } in
-  let key =
-    Optimizer.Cache.key ~pipeline:"mde" ~rows ~cols ~device:device_name
-      ~digest:(fingerprint init)
-  in
-  let tuned =
-    Optimizer.Cache.find_or_tune ~key (fun () ->
-        let o =
-          Optimizer.Search.run
-            ~cost:(fun st -> modelled_us ?device st.gen)
-            ~fingerprint ~moves init
-        in
-        {
-          Optimizer.Cache.rules = o.Optimizer.Search.path;
-          tuned_us = o.Optimizer.Search.best_cost;
-          base_us = o.Optimizer.Search.base_cost;
-        })
-  in
-  match Optimizer.Search.replay ~moves init tuned.Optimizer.Cache.rules with
-  | Some (st, rules) ->
-      let g = if rules = [] then st.gen else Codegen.render st.gen in
-      (g, st.fstats, rules)
-  | None -> (gen, Gpu.Fuse.no_stats, [])
+let tune ?device gen =
+  let g, fstats, rules = Optimizer.Tune.tune (view ?device ()) gen in
+  ((if rules = [] then g else Codegen.render g), fstats, rules)

@@ -1,23 +1,17 @@
 (** Cost-guided autotuning for the ArrayOL -> OpenCL chain
-    ([--opt auto]).
+    ([--opt auto]): the {!Codegen.generated} view of the shared
+    {!Optimizer.Tune} driver.
 
-    Mirrors [Sac_cuda.Autotune] over {!Codegen.generated} programs:
-    single-connection {b fuse} steps (the {!Fuse_chain.candidates}), a
-    fuse-to-fixpoint step, {b fission} (undo), and per-task loop
-    {b interchange} / {b tile} rewrites, scored by replaying the kernel
-    schedule through a timing-only OpenCL context on synthetic inputs.
-    Every candidate task set re-verifies through {!Verify.check} before
-    it is eligible; winners are memoised as rule paths in the
-    process-wide {!Optimizer.Cache}. *)
+    Fusion steps are the single-connection {!Fuse_chain.candidates};
+    the rewrite units are the kernel tasks, named by instance, and
+    every task is offered both tile factors.  Candidates are scored by
+    replaying the kernel schedule through a timing-only OpenCL context
+    on synthetic inputs, and every rewritten task set re-verifies
+    through {!Verify.check} before it is eligible. *)
 
-type state = {
-  gen : Codegen.generated;
-  fstats : Gpu.Fuse.stats;  (** fusion savings accumulated so far *)
-  undo : state option;  (** state before the last rewrite *)
-}
-
-val moves : state -> state Optimizer.Search.candidate list
-(** All rewrite moves applicable to [state] (for the unit tests). *)
+val view : ?device:Gpu.Device.t -> unit -> Codegen.generated Optimizer.Tune.view
+(** The program view priced on [device] (default: the OpenCL context's
+    default device); exposed for the per-rule unit tests. *)
 
 val modelled_us : ?device:Gpu.Device.t -> Codegen.generated -> float
 (** Modelled single-run device time of the generated program: uploads,

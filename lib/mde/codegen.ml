@@ -205,8 +205,8 @@ let render (g : generated) =
           let len = Shape.size p.Arrayol.Model.pshape in
           let name = "d_in_" ^ sanitize p.Arrayol.Model.pname in
           [
-            Opencl.Emit.Create_buffer { dst = name; len };
-            Opencl.Emit.Write_buffer
+            C_print.Alloc { dst = name; len };
+            C_print.Upload
               { dst = name; src = "h_" ^ sanitize p.Arrayol.Model.pname; len };
           ])
         g.boundary_inputs
@@ -220,7 +220,7 @@ let render (g : generated) =
               let outs =
                 List.map
                   (fun (port, shape) ->
-                    Opencl.Emit.Create_buffer
+                    C_print.Alloc
                       { dst = buf_of inst port; len = Shape.size shape })
                   kt.output_ports
               in
@@ -246,7 +246,7 @@ let render (g : generated) =
               in
               outs
               @ [
-                  Opencl.Emit.Enqueue_kernel
+                  C_print.Launch
                     { kernel = kt.kernel; grid = kt.grid; args };
                 ])
         (List.concat g.levels)
@@ -263,7 +263,7 @@ let render (g : generated) =
           with
           | Some c ->
               Some
-                (Opencl.Emit.Read_buffer
+                (C_print.Download
                    {
                      dst = "h_" ^ sanitize p.Arrayol.Model.pname;
                      src = source_buffer c.Arrayol.Model.cfrom;

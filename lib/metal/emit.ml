@@ -1,93 +1,10 @@
 open Gpu
 
-(* Metal Shading Language emitter over the shared kernel IR — the
-   third backend next to [Cuda.Emit] and [Opencl.Emit].  Like the
+(* Metal Shading Language dialect of the shared printer.  Like the
    OpenCL emitter it linearises the work-item id (here the
    [[thread_position_in_grid]] attribute of a 1-D dispatch) and
    decomposes it with %-and-/ chains; the MSL-specific surface is the
    address-space-qualified parameters with [[buffer(n)]] bindings. *)
-
-let binop_is_call = function Kir.Min | Kir.Max -> true | _ -> false
-
-let binop_text = function
-  | Kir.Add -> "+"
-  | Kir.Sub -> "-"
-  | Kir.Mul -> "*"
-  | Kir.Div -> "/"
-  | Kir.Mod -> "%"
-  | Kir.Min -> "min"
-  | Kir.Max -> "max"
-  | Kir.Lt -> "<"
-  | Kir.Le -> "<="
-  | Kir.Gt -> ">"
-  | Kir.Ge -> ">="
-  | Kir.Eq -> "=="
-  | Kir.Ne -> "!="
-  | Kir.And -> "&&"
-  | Kir.Or -> "||"
-
-let rec expr buf = function
-  | Kir.Int n ->
-      if n < 0 then Printf.bprintf buf "(%d)" n else Printf.bprintf buf "%d" n
-  | Kir.Gid d -> Printf.bprintf buf "gid%d" d
-  | Kir.Param p -> Stdlib.Buffer.add_string buf p
-  | Kir.Var v -> Stdlib.Buffer.add_string buf v
-  | Kir.Read (b, i) ->
-      Printf.bprintf buf "%s[" b;
-      expr buf i;
-      Stdlib.Buffer.add_char buf ']'
-  | Kir.Bin (op, a, b) when binop_is_call op ->
-      Printf.bprintf buf "%s(" (binop_text op);
-      expr buf a;
-      Stdlib.Buffer.add_string buf ", ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Bin (op, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf a;
-      Printf.bprintf buf " %s " (binop_text op);
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Select (c, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf c;
-      Stdlib.Buffer.add_string buf " ? ";
-      expr buf a;
-      Stdlib.Buffer.add_string buf " : ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
-  match s with
-  | Kir.Let (v, e) ->
-      Printf.bprintf buf "%sint %s = " pad v;
-      expr buf e;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.Store (b, i, v) ->
-      Printf.bprintf buf "%s%s[" pad b;
-      expr buf i;
-      Stdlib.Buffer.add_string buf "] = ";
-      expr buf v;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.If (c, t, e) ->
-      Printf.bprintf buf "%sif (" pad;
-      expr buf c;
-      Stdlib.Buffer.add_string buf ") {\n";
-      List.iter (stmt buf (indent + 4)) t;
-      if e <> [] then begin
-        Printf.bprintf buf "%s} else {\n" pad;
-        List.iter (stmt buf (indent + 4)) e
-      end;
-      Printf.bprintf buf "%s}\n" pad
-  | Kir.For { var; lo; hi; body } ->
-      Printf.bprintf buf "%sfor (int %s = " pad var;
-      expr buf lo;
-      Printf.bprintf buf "; %s < " var;
-      expr buf hi;
-      Printf.bprintf buf "; %s++) {\n" var;
-      List.iter (stmt buf (indent + 4)) body;
-      Printf.bprintf buf "%s}\n" pad
 
 (* Buffer bindings follow parameter order, scalars included: the host
    side binds buffers with setBuffer and scalars with setBytes at the
@@ -100,32 +17,23 @@ let param_text i (p : Kir.param) =
   | Kir.Out_buffer ->
       Printf.sprintf "device int *%s [[buffer(%d)]]" p.Kir.pname i
 
-let kernel ~grid (k : Kir.t) =
-  let rank = Ndarray.Shape.rank grid in
-  if rank <> k.Kir.grid_rank then invalid_arg "Metal.Emit.kernel: grid rank";
-  let buf = Stdlib.Buffer.create 512 in
-  let params =
-    List.mapi param_text k.Kir.params
-    @ [ "uint iGID [[thread_position_in_grid]]" ]
-  in
-  Printf.bprintf buf "kernel void %s(%s)\n{\n" k.Kir.kname
-    (String.concat ",\n                 " params);
-  Printf.bprintf buf "    if (iGID >= %du) return;\n" (Ndarray.Shape.size grid);
-  Printf.bprintf buf "    int lin = int(iGID);\n";
-  let stride = ref 1 in
-  for d = rank - 1 downto 0 do
-    if !stride = 1 then
-      Printf.bprintf buf "    int gid%d = lin %% %d;\n" d grid.(d)
-    else if d = 0 then
-      Printf.bprintf buf "    int gid%d = lin / %d;\n" d !stride
-    else
-      Printf.bprintf buf "    int gid%d = (lin / %d) %% %d;\n" d !stride
-        grid.(d);
-    stride := !stride * grid.(d)
-  done;
-  List.iter (stmt buf 4) k.Kir.body;
-  Stdlib.Buffer.add_string buf "}\n";
-  Stdlib.Buffer.contents buf
+let dialect =
+  {
+    C_print.name = "Metal.Emit";
+    keyword = "kernel void";
+    params =
+      (fun ps ->
+        List.mapi param_text ps @ [ "uint iGID [[thread_position_in_grid]]" ]);
+    param_sep = ",\n                 ";
+    prologue =
+      (fun buf grid ->
+        Printf.bprintf buf "    if (iGID >= %du) return;\n"
+          (Ndarray.Shape.size grid);
+        Printf.bprintf buf "    int lin = int(iGID);\n";
+        C_print.linear_gids buf ~var:"lin" grid);
+  }
+
+let kernel ~grid k = C_print.kernel dialect ~grid k
 
 let metal_file ~name kernels =
   let buf = Stdlib.Buffer.create 4096 in
@@ -134,24 +42,8 @@ let metal_file ~name kernels =
      #include <metal_stdlib>\n\
      using namespace metal;\n\n"
     name;
-  List.iter
-    (fun (k, grid) ->
-      Stdlib.Buffer.add_string buf (kernel ~grid k);
-      Stdlib.Buffer.add_char buf '\n')
-    kernels;
+  C_print.kernels dialect buf kernels;
   Stdlib.Buffer.contents buf
-
-type host_step =
-  | Comment of string
-  | New_buffer of { dst : string; len : int }
-  | Blit_to_device of { dst : string; src : string; len : int }
-  | Blit_from_device of { dst : string; src : string; len : int }
-  | Dispatch of {
-      kernel : Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Release of { name : string }
 
 let host_program ~name ~steps =
   let buf = Stdlib.Buffer.create 4096 in
@@ -174,19 +66,19 @@ let host_program ~name ~steps =
   List.iter
     (fun step ->
       match step with
-      | Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | New_buffer { dst; len } ->
+      | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
+      | C_print.Alloc { dst; len } ->
           Printf.bprintf buf
             "    MTL::Buffer *%s = device->newBuffer(%d * sizeof(int), \
              MTL::ResourceStorageModeShared);\n"
             dst len
-      | Blit_to_device { dst; src; len } ->
+      | C_print.Upload { dst; src; len } ->
           Printf.bprintf buf
             "    memcpy(%s->contents(), %s, %d * sizeof(int));\n" dst src len
-      | Blit_from_device { dst; src; len } ->
+      | C_print.Download { dst; src; len } ->
           Printf.bprintf buf
             "    memcpy(%s, %s->contents(), %d * sizeof(int));\n" dst src len
-      | Dispatch { kernel; grid; args } ->
+      | C_print.Launch { kernel; grid; args } ->
           incr kernel_no;
           let n = !kernel_no in
           Printf.bprintf buf
@@ -200,15 +92,7 @@ let host_program ~name ~steps =
             \    enc%d->setComputePipelineState(p%d);\n"
             n kernel.Kir.kname n n n n n n n;
           List.iteri
-            (fun i (p : Kir.param) ->
-              let actual =
-                match List.assoc_opt p.Kir.pname args with
-                | Some a -> a
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Metal.Emit: missing actual for %s"
-                         p.Kir.pname)
-              in
+            (fun i ((p : Kir.param), actual) ->
               match p.Kir.kind with
               | Kir.Scalar ->
                   Printf.bprintf buf
@@ -216,7 +100,7 @@ let host_program ~name ~steps =
               | Kir.In_buffer | Kir.Out_buffer ->
                   Printf.bprintf buf "    enc%d->setBuffer(%s, 0, %d);\n" n
                     actual i)
-            kernel.Kir.params;
+            (C_print.actuals dialect kernel args);
           Printf.bprintf buf
             "    enc%d->dispatchThreads(MTL::Size::Make(%d, 1, 1), \
              MTL::Size::Make(256, 1, 1));\n\
@@ -224,7 +108,8 @@ let host_program ~name ~steps =
             \    cb%d->commit();\n\
             \    cb%d->waitUntilCompleted();\n"
             n (Ndarray.Shape.size grid) n n n
-      | Release { name } -> Printf.bprintf buf "    %s->release();\n" name)
+      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Free { name } -> Printf.bprintf buf "    %s->release();\n" name)
     steps;
   Stdlib.Buffer.add_string buf "    return 0;\n}\n";
   Stdlib.Buffer.contents buf

@@ -1,7 +1,8 @@
 (** Metal Shading Language emitter over the shared kernel IR.
 
     The third source backend next to [Cuda.Emit] and [Opencl.Emit]:
-    the same verified kernels print as MSL compute functions with
+    the same verified kernels print, through the shared
+    {!Gpu.C_print}, as MSL compute functions with
     address-space-qualified [[buffer(n)]] parameters and a linearised
     [[thread_position_in_grid]] work-item id, plus a metal-cpp host
     program and a Makefile driving the [metal]/[metallib] toolchain. *)
@@ -16,19 +17,7 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val metal_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** A [.metal] translation unit containing all given kernels. *)
 
-type host_step =
-  | Comment of string
-  | New_buffer of { dst : string; len : int }
-  | Blit_to_device of { dst : string; src : string; len : int }
-  | Blit_from_device of { dst : string; src : string; len : int }
-  | Dispatch of {
-      kernel : Gpu.Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;  (** formal name -> host identifier *)
-    }
-  | Release of { name : string }
-
-val host_program : name:string -> steps:host_step list -> string
+val host_program : name:string -> steps:Gpu.C_print.host_step list -> string
 (** A metal-cpp host [main] executing the steps in order: shared-mode
     buffers, [memcpy] blits through [contents()], one command buffer
     per dispatch with [setBuffer]/[setBytes] bindings in parameter

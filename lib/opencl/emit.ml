@@ -1,117 +1,26 @@
 open Gpu
 
-let binop_is_call = function Kir.Min | Kir.Max -> true | _ -> false
-
-let binop_text = function
-  | Kir.Add -> "+"
-  | Kir.Sub -> "-"
-  | Kir.Mul -> "*"
-  | Kir.Div -> "/"
-  | Kir.Mod -> "%"
-  | Kir.Min -> "min"
-  | Kir.Max -> "max"
-  | Kir.Lt -> "<"
-  | Kir.Le -> "<="
-  | Kir.Gt -> ">"
-  | Kir.Ge -> ">="
-  | Kir.Eq -> "=="
-  | Kir.Ne -> "!="
-  | Kir.And -> "&&"
-  | Kir.Or -> "||"
-
-let rec expr buf = function
-  | Kir.Int n ->
-      if n < 0 then Printf.bprintf buf "(%d)" n else Printf.bprintf buf "%d" n
-  | Kir.Gid d -> Printf.bprintf buf "gid%d" d
-  | Kir.Param p -> Stdlib.Buffer.add_string buf p
-  | Kir.Var v -> Stdlib.Buffer.add_string buf v
-  | Kir.Read (b, i) ->
-      Printf.bprintf buf "%s[" b;
-      expr buf i;
-      Stdlib.Buffer.add_char buf ']'
-  | Kir.Bin (op, a, b) when binop_is_call op ->
-      Printf.bprintf buf "%s(" (binop_text op);
-      expr buf a;
-      Stdlib.Buffer.add_string buf ", ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Bin (op, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf a;
-      Printf.bprintf buf " %s " (binop_text op);
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-  | Kir.Select (c, a, b) ->
-      Stdlib.Buffer.add_char buf '(';
-      expr buf c;
-      Stdlib.Buffer.add_string buf " ? ";
-      expr buf a;
-      Stdlib.Buffer.add_string buf " : ";
-      expr buf b;
-      Stdlib.Buffer.add_char buf ')'
-
-let rec stmt buf indent s =
-  let pad = String.make indent ' ' in
-  match s with
-  | Kir.Let (v, e) ->
-      Printf.bprintf buf "%sint %s = " pad v;
-      expr buf e;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.Store (b, i, v) ->
-      Printf.bprintf buf "%s%s[" pad b;
-      expr buf i;
-      Stdlib.Buffer.add_string buf "] = ";
-      expr buf v;
-      Stdlib.Buffer.add_string buf ";\n"
-  | Kir.If (c, t, e) ->
-      Printf.bprintf buf "%sif (" pad;
-      expr buf c;
-      Stdlib.Buffer.add_string buf ") {\n";
-      List.iter (stmt buf (indent + 4)) t;
-      if e <> [] then begin
-        Printf.bprintf buf "%s} else {\n" pad;
-        List.iter (stmt buf (indent + 4)) e
-      end;
-      Printf.bprintf buf "%s}\n" pad
-  | Kir.For { var; lo; hi; body } ->
-      Printf.bprintf buf "%sfor (int %s = " pad var;
-      expr buf lo;
-      Printf.bprintf buf "; %s < " var;
-      expr buf hi;
-      Printf.bprintf buf "; %s++) {\n" var;
-      List.iter (stmt buf (indent + 4)) body;
-      Printf.bprintf buf "%s}\n" pad
-
 let param_text (p : Kir.param) =
   match p.kind with
   | Kir.Scalar -> Printf.sprintf "const int %s" p.pname
   | Kir.In_buffer -> Printf.sprintf "__global const int *%s" p.pname
   | Kir.Out_buffer -> Printf.sprintf "__global int *%s" p.pname
 
-(* Work-item ids are linearised and decomposed with %-and-/ chains, as
-   in the paper's Figure 11 ("tlIter[0]=iGID%%1080; ..."). *)
-let kernel ~grid (k : Kir.t) =
-  let rank = Ndarray.Shape.rank grid in
-  if rank <> k.Kir.grid_rank then invalid_arg "Opencl.Emit.kernel: grid rank";
-  let buf = Stdlib.Buffer.create 512 in
-  Printf.bprintf buf "__kernel void %s(%s)\n{\n" k.Kir.kname
-    (String.concat ", " (List.map param_text k.Kir.params));
-  Printf.bprintf buf "    int iGID = get_global_id(0);\n";
-  Printf.bprintf buf "    if (iGID >= %d) return;\n" (Ndarray.Shape.size grid);
-  let stride = ref 1 in
-  for d = rank - 1 downto 0 do
-    if !stride = 1 then
-      Printf.bprintf buf "    int gid%d = iGID %% %d;\n" d grid.(d)
-    else if d = 0 then
-      Printf.bprintf buf "    int gid%d = iGID / %d;\n" d !stride
-    else
-      Printf.bprintf buf "    int gid%d = (iGID / %d) %% %d;\n" d !stride
-        grid.(d);
-    stride := !stride * grid.(d)
-  done;
-  List.iter (stmt buf 4) k.Kir.body;
-  Stdlib.Buffer.add_string buf "}\n";
-  Stdlib.Buffer.contents buf
+let dialect =
+  {
+    C_print.name = "Opencl.Emit";
+    keyword = "__kernel void";
+    params = List.map param_text;
+    param_sep = ", ";
+    prologue =
+      (fun buf grid ->
+        Printf.bprintf buf "    int iGID = get_global_id(0);\n";
+        Printf.bprintf buf "    if (iGID >= %d) return;\n"
+          (Ndarray.Shape.size grid);
+        C_print.linear_gids buf ~var:"iGID" grid);
+  }
+
+let kernel ~grid k = C_print.kernel dialect ~grid k
 
 let cl_file ~name kernels =
   let buf = Stdlib.Buffer.create 4096 in
@@ -120,24 +29,8 @@ let cl_file ~name kernels =
     \ * gather/scatter address arithmetic follows the\n\
     \ * origin/paving/fitting formulae. */\n\n"
     name;
-  List.iter
-    (fun (k, grid) ->
-      Stdlib.Buffer.add_string buf (kernel ~grid k);
-      Stdlib.Buffer.add_char buf '\n')
-    kernels;
+  C_print.kernels dialect buf kernels;
   Stdlib.Buffer.contents buf
-
-type host_step =
-  | Comment of string
-  | Create_buffer of { dst : string; len : int }
-  | Write_buffer of { dst : string; src : string; len : int }
-  | Read_buffer of { dst : string; src : string; len : int }
-  | Enqueue_kernel of {
-      kernel : Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Release of { name : string }
 
 let host_program ~name ~steps =
   let buf = Stdlib.Buffer.create 4096 in
@@ -162,54 +55,42 @@ let host_program ~name ~steps =
   List.iter
     (fun step ->
       match step with
-      | Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | Create_buffer { dst; len } ->
+      | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
+      | C_print.Alloc { dst; len } ->
           Printf.bprintf buf
             "    cl_mem %s = clCreateBuffer(context, CL_MEM_READ_WRITE, %d * \
              sizeof(int), NULL, NULL);\n"
             dst len
-      | Write_buffer { dst; src; len } ->
+      | C_print.Upload { dst; src; len } ->
           Printf.bprintf buf
             "    clEnqueueWriteBuffer(queue, %s, CL_FALSE, 0, %d * \
              sizeof(int), %s, 0, NULL, NULL);\n"
             dst len src
-      | Read_buffer { dst; src; len } ->
+      | C_print.Download { dst; src; len } ->
           Printf.bprintf buf
             "    clEnqueueReadBuffer(queue, %s, CL_TRUE, 0, %d * \
              sizeof(int), %s, 0, NULL, NULL);\n"
             src len dst
-      | Enqueue_kernel { kernel; grid; args } ->
+      | C_print.Launch { kernel; grid; args } ->
           incr kernel_no;
           let kv = Printf.sprintf "k%d" !kernel_no in
           Printf.bprintf buf
             "    cl_kernel %s = clCreateKernel(program, \"%s\", NULL);\n" kv
             kernel.Kir.kname;
           List.iteri
-            (fun i (p : Kir.param) ->
-              let actual =
-                match List.assoc_opt p.Kir.pname args with
-                | Some a -> a
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Opencl.Emit: missing actual for %s"
-                         p.Kir.pname)
-              in
-              match p.Kir.kind with
-              | Kir.Scalar ->
-                  Printf.bprintf buf
-                    "    clSetKernelArg(%s, %d, sizeof(int), &%s);\n" kv i
-                    actual
-              | Kir.In_buffer | Kir.Out_buffer ->
-                  Printf.bprintf buf
-                    "    clSetKernelArg(%s, %d, sizeof(cl_mem), &%s);\n" kv i
-                    actual)
-            kernel.Kir.params;
+            (fun i ((p : Kir.param), actual) ->
+              Printf.bprintf buf
+                "    clSetKernelArg(%s, %d, sizeof(%s), &%s);\n" kv i
+                (if p.Kir.kind = Kir.Scalar then "int" else "cl_mem")
+                actual)
+            (C_print.actuals dialect kernel args);
           Printf.bprintf buf
             "    { size_t gws = %d;\n\
             \      clEnqueueNDRangeKernel(queue, %s, 1, NULL, &gws, NULL, 0, \
              NULL, NULL); }\n"
             (Ndarray.Shape.size grid) kv
-      | Release { name } ->
+      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Free { name } ->
           Printf.bprintf buf "    clReleaseMemObject(%s);\n" name)
     steps;
   Stdlib.Buffer.add_string buf

@@ -5,7 +5,8 @@
     all three from the transformed model's kernels: each repetitive
     task becomes one [__kernel] whose work-item id is linearised and
     re-decomposed with [%]/[/] exactly like the generated tiler code in
-    the paper's Figure 11. *)
+    the paper's Figure 11.  Kernel bodies print through the shared
+    {!Gpu.C_print}; this module is its OpenCL dialect and host API. *)
 
 val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 (** One [__kernel] function guarded by the global work size. *)
@@ -13,21 +14,9 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val cl_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** The [.cl] translation unit containing every kernel. *)
 
-(** Host-side steps of the generated [.cpp], in order. *)
-type host_step =
-  | Comment of string
-  | Create_buffer of { dst : string; len : int }
-  | Write_buffer of { dst : string; src : string; len : int }
-  | Read_buffer of { dst : string; src : string; len : int }
-  | Enqueue_kernel of {
-      kernel : Gpu.Kir.t;
-      grid : Ndarray.Shape.t;
-      args : (string * string) list;
-    }
-  | Release of { name : string }
-
-val host_program : name:string -> steps:host_step list -> string
+val host_program : name:string -> steps:Gpu.C_print.host_step list -> string
 (** The generated [.cpp]: platform/context/queue boilerplate, program
-    build from the [.cl] file, then [steps]. *)
+    build from the [.cl] file, then [steps].  Raises [Invalid_argument]
+    when a launch lacks an actual for a kernel formal. *)
 
 val makefile : name:string -> string

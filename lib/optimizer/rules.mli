@@ -10,9 +10,9 @@
     fusion rewrites.
 
     The plan-level rules — producer/consumer {b fuse} and its inverse
-    {b fission} — live with the plan representations they rewrite
-    ({!Sac_cuda.Autotune} and {!Mde.Autotune}); the grid-level rules
-    here are representation-agnostic. *)
+    {b fission} — are offered by {!Tune}: fusion candidates come from
+    each plan representation's view, fission from the search state's
+    undo link.  The grid-level rules here are representation-agnostic. *)
 
 val interchange : Gpu.Kir.t * int array -> (Gpu.Kir.t * int array) option
 (** Loop interchange: swap the two grid dimensions of a rank-2 kernel,

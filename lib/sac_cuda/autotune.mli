@@ -1,29 +1,16 @@
 (** Cost-guided plan autotuning for the SAC -> CUDA pipeline
-    ([--opt auto]).
+    ([--opt auto]): the {!Plan.t} view of the shared
+    {!Optimizer.Tune} driver.
 
-    Explores rewrite sequences over a compiled {!Plan.t} — single-pair
-    {b fuse} steps (the {!Fuse_plan} candidates), a fuse-to-fixpoint
-    step (so the fixed [--fuse] plan is always an explored candidate,
-    and the tuned plan can never score worse than it), {b fission}
-    (undoing the previous rewrite), per-item loop {b interchange} and
-    {b tile} (thread-coarsening) — scoring each candidate with the
-    analytic device model in a timing-only context.  Every candidate
-    re-verifies through the [lib/analysis] gates before it is eligible.
+    Fusion steps are the {!Fuse_plan} candidates; the rewrite units are
+    the device with-loop items, named by their target.  Tile moves are
+    withheld from items whose largest generator grid reaches four
+    times the device's saturation, where coarsening cannot pay.  Every
+    candidate re-verifies through the [lib/analysis] gates. *)
 
-    Winners are memoised process-wide per (pipeline, shape, device,
-    plan digest) in {!Optimizer.Cache} as {e rule paths}: a later
-    compile of the same program (possibly with different profiling
-    labels) replays the path on its own plan, re-verifying each step. *)
-
-type state = {
-  plan : Plan.t;
-  fstats : Gpu.Fuse.stats;  (** fusion savings accumulated so far *)
-  undo : state option;  (** state before the last rewrite *)
-}
-
-val moves : device:Gpu.Device.t -> state -> state Optimizer.Search.candidate list
-(** All rewrite moves applicable to [state], for {!Optimizer.Search}.
-    Exposed for the per-rule unit tests. *)
+val view : device:Gpu.Device.t -> Plan.t Optimizer.Tune.view
+(** The plan view priced on [device]; exposed for the per-rule unit
+    tests. *)
 
 val modelled_us : ?device:Gpu.Device.t -> Plan.t -> float
 (** Modelled single-frame time (device + host) of a plan under the

@@ -1,9 +1,3 @@
-open Ndarray
-
-let dev name = "d_" ^ Kernelize.sanitize name
-
-let host name = "h_" ^ Kernelize.sanitize name
-
 (* Render a host block as plain C (the for-loop tilers of the generic
    variant; vector operations are printed as comments since the host
    compiler of the real system handles them natively). *)
@@ -16,104 +10,11 @@ let host_block_code stmts =
       String.split_on_char '\n' text
       |> List.iter (fun line -> Buffer.add_string buf ("    // " ^ line ^ "\n")))
     stmts;
-  Buffer.contents buf
+  Gpu.C_print.Host_code (Buffer.contents buf)
 
 let source ~name (plan : Plan.t) =
-  let on_device : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let sizes : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (p, shape) -> Hashtbl.replace sizes p (Shape.size shape))
-    plan.Plan.params;
-  let steps = ref [] in
-  let push s = steps := s :: !steps in
-  let ensure_device v =
-    if not (Hashtbl.mem on_device v) then begin
-      let len = try Hashtbl.find sizes v with Not_found -> 0 in
-      push (Cuda.Emit.Alloc { dst = dev v; len });
-      push (Cuda.Emit.Memcpy_h2d { dst = dev v; src = host v; len });
-      Hashtbl.replace on_device v ()
-    end
+  let w =
+    Host_walk.of_plan ~host_block:host_block_code ~label_withloops:true plan
   in
-  let kernels = ref [] in
-  List.iter
-    (fun item ->
-      match item with
-      | Plan.Const_array { target; shape; fill } ->
-          Hashtbl.replace sizes target (Shape.size shape);
-          push
-            (Cuda.Emit.Comment
-               (Printf.sprintf "%s = constant array (%d) of shape %s"
-                  (host target) fill (Shape.to_string shape)))
-      | Plan.Copy { target; source } ->
-          (match Hashtbl.find_opt sizes source with
-          | Some n -> Hashtbl.replace sizes target n
-          | None -> ());
-          if Hashtbl.mem on_device source then
-            Hashtbl.replace on_device target ();
-          push
-            (Cuda.Emit.Comment
-               (Printf.sprintf "%s aliases %s" (host target) (host source)))
-      | Plan.Device_withloop { target; swith; kernels = ks; label; _ } ->
-          let out_shape =
-            Shape.concat swith.Sac.Scalarize.frame
-              swith.Sac.Scalarize.cell_shape
-          in
-          Hashtbl.replace sizes target (Shape.size out_shape);
-          push (Cuda.Emit.Comment (Printf.sprintf "CUDA-WITH-loop: %s" label));
-          List.iter
-            (fun (a, _) -> ensure_device a)
-            swith.Sac.Scalarize.arrays;
-          push
-            (Cuda.Emit.Alloc { dst = dev target; len = Shape.size out_shape });
-          Hashtbl.replace on_device target ();
-          List.iter
-            (fun ((k : Gpu.Kir.t), grid) ->
-              kernels := (k, grid) :: !kernels;
-              let args =
-                List.map
-                  (fun (p : Gpu.Kir.param) ->
-                    if p.Gpu.Kir.pname = "out" then ("out", dev target)
-                    else
-                      ( p.Gpu.Kir.pname,
-                        dev
-                          (match
-                             List.find_opt
-                               (fun (a, _) ->
-                                 Kernelize.sanitize a = p.Gpu.Kir.pname)
-                               swith.Sac.Scalarize.arrays
-                           with
-                          | Some (a, _) -> a
-                          | None -> p.Gpu.Kir.pname) ))
-                  k.Gpu.Kir.params
-              in
-              push (Cuda.Emit.Launch { kernel = k; grid; args }))
-            ks
-      | Plan.Host_block { stmts; reads; _ } ->
-          List.iter
-            (fun v ->
-              if Hashtbl.mem on_device v then begin
-                let len = try Hashtbl.find sizes v with Not_found -> 0 in
-                push (Cuda.Emit.Memcpy_d2h { dst = host v; src = dev v; len });
-                Hashtbl.remove on_device v
-              end)
-            reads;
-          push (Cuda.Emit.Host_code (host_block_code stmts)))
-    plan.Plan.items;
-  (* Result back to the host for display. *)
-  if Hashtbl.mem on_device plan.Plan.result then
-    push
-      (Cuda.Emit.Memcpy_d2h
-         {
-           dst = host plan.Plan.result;
-           src = dev plan.Plan.result;
-           len = Shape.size plan.Plan.result_shape;
-         });
-  List.iter
-    (fun item ->
-      match item with
-      | Plan.Device_withloop { target; _ } ->
-          if Hashtbl.mem on_device target then
-            push (Cuda.Emit.Free { name = dev target })
-      | _ -> ())
-    plan.Plan.items;
-  Cuda.Emit.program ~name ~kernels:(List.rev !kernels) ~steps:(List.rev !steps)
+  let frees = List.map (fun name -> Gpu.C_print.Free { name }) w.live in
+  Cuda.Emit.program ~name ~kernels:w.kernels ~steps:(w.steps @ frees)

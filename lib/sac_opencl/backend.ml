@@ -1,5 +1,3 @@
-open Ndarray
-
 let opencl_ops ctx =
   let queue = Opencl.Runtime.create_command_queue ctx in
   {
@@ -29,95 +27,10 @@ let run ?host_mode ?liveness ?plane_tag ctx plan ~args =
 
 type sources = { cl : string; host : string; makefile : string }
 
-let dev name = "d_" ^ Sac_cuda.Kernelize.sanitize name
-
-let host_name name = "h_" ^ Sac_cuda.Kernelize.sanitize name
-
-let sources ~name (plan : Sac_cuda.Plan.t) =
-  let kernels = ref [] in
-  let steps = ref [] in
-  let push s = steps := s :: !steps in
-  let on_device : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let sizes : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (p, shape) -> Hashtbl.replace sizes p (Shape.size shape))
-    plan.Sac_cuda.Plan.params;
-  let ensure_device v =
-    if not (Hashtbl.mem on_device v) then begin
-      let len = try Hashtbl.find sizes v with Not_found -> 0 in
-      push (Opencl.Emit.Create_buffer { dst = dev v; len });
-      push (Opencl.Emit.Write_buffer { dst = dev v; src = host_name v; len });
-      Hashtbl.replace on_device v ()
-    end
-  in
-  List.iter
-    (fun item ->
-      match item with
-      | Sac_cuda.Plan.Const_array { target; shape; fill } ->
-          Hashtbl.replace sizes target (Shape.size shape);
-          push
-            (Opencl.Emit.Comment
-               (Printf.sprintf "%s = constant array (%d) of shape %s"
-                  (host_name target) fill (Shape.to_string shape)))
-      | Sac_cuda.Plan.Copy { target; source } ->
-          (match Hashtbl.find_opt sizes source with
-          | Some n -> Hashtbl.replace sizes target n
-          | None -> ());
-          if Hashtbl.mem on_device source then
-            Hashtbl.replace on_device target ();
-          push
-            (Opencl.Emit.Comment
-               (Printf.sprintf "%s aliases %s" (host_name target)
-                  (host_name source)))
-      | Sac_cuda.Plan.Device_withloop { target; swith; kernels = ks; _ } ->
-          let out_shape =
-            Shape.concat swith.Sac.Scalarize.frame
-              swith.Sac.Scalarize.cell_shape
-          in
-          Hashtbl.replace sizes target (Shape.size out_shape);
-          List.iter (fun (a, _) -> ensure_device a) swith.Sac.Scalarize.arrays;
-          push
-            (Opencl.Emit.Create_buffer
-               { dst = dev target; len = Shape.size out_shape });
-          Hashtbl.replace on_device target ();
-          List.iter
-            (fun ((k : Gpu.Kir.t), grid) ->
-              kernels := (k, grid) :: !kernels;
-              let args =
-                List.map
-                  (fun (p : Gpu.Kir.param) ->
-                    if p.Gpu.Kir.pname = "out" then ("out", dev target)
-                    else (p.Gpu.Kir.pname, "d_" ^ p.Gpu.Kir.pname))
-                  k.Gpu.Kir.params
-              in
-              push (Opencl.Emit.Enqueue_kernel { kernel = k; grid; args }))
-            ks
-      | Sac_cuda.Plan.Host_block { stmts; reads; _ } ->
-          List.iter
-            (fun v ->
-              if Hashtbl.mem on_device v then begin
-                let len = try Hashtbl.find sizes v with Not_found -> 0 in
-                push
-                  (Opencl.Emit.Read_buffer
-                     { dst = host_name v; src = dev v; len });
-                Hashtbl.remove on_device v
-              end)
-            reads;
-          push
-            (Opencl.Emit.Comment
-               (Printf.sprintf "host-resident SAC code (%d statements)"
-                  (List.length stmts))))
-    plan.Sac_cuda.Plan.items;
-  if Hashtbl.mem on_device plan.Sac_cuda.Plan.result then
-    push
-      (Opencl.Emit.Read_buffer
-         {
-           dst = host_name plan.Sac_cuda.Plan.result;
-           src = dev plan.Sac_cuda.Plan.result;
-           len = Shape.size plan.Sac_cuda.Plan.result_shape;
-         });
+let sources ~name plan =
+  let w = Sac_cuda.Host_walk.of_plan plan in
   {
-    cl = Opencl.Emit.cl_file ~name (List.rev !kernels);
-    host = Opencl.Emit.host_program ~name ~steps:(List.rev !steps);
+    cl = Opencl.Emit.cl_file ~name w.Sac_cuda.Host_walk.kernels;
+    host = Opencl.Emit.host_program ~name ~steps:w.Sac_cuda.Host_walk.steps;
     makefile = Opencl.Emit.makefile ~name;
   }

@@ -595,22 +595,23 @@ let test_sac_mutant_broken_interchange_gated () =
    full verifier accepts. *)
 let test_sac_autotune_moves_all_verify () =
   let plan = sac_plan ~generic:false () in
-  let init =
-    { Sac_cuda.Autotune.plan; fstats = Gpu.Fuse.no_stats; undo = None }
+  let moves =
+    Optimizer.Tune.moves
+      (Sac_cuda.Autotune.view ~device:Gpu.Device.gtx480)
+      (Optimizer.Tune.init plan)
   in
-  let moves = Sac_cuda.Autotune.moves ~device:Gpu.Device.gtx480 init in
   Alcotest.(check bool) "moves offered" true (moves <> []);
   List.iter
     (fun (c : _ Optimizer.Search.candidate) ->
       match c.Optimizer.Search.apply () with
       | None -> ()
-      | Some (st : Sac_cuda.Autotune.state) ->
+      | Some (st : Sac_cuda.Plan.t Optimizer.Tune.state) ->
           Alcotest.(check (list string))
             (c.Optimizer.Search.rule ^ " result verifies")
             []
             (List.map
                (Format.asprintf "%a" Analysis.Finding.pp_long)
-               (Sac_cuda.Verify.check st.Sac_cuda.Autotune.plan)))
+               (Sac_cuda.Verify.check st.Optimizer.Tune.plan)))
     moves
 
 (* ---------- the MDE pipeline ---------- *)

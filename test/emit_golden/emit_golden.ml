@@ -8,8 +8,9 @@
    off and fuse through the CUDA, OpenCL and Metal emitters, the full
    downscaler and the Gaspard2 chain under --opt auto (so interchanged
    kernels print too) and with every kernel coarsened by the tile rule,
-   and the Gaspard2 chain under off and fuse.  One small plan is printed in full through all three
-   backends, so a change shows as a readable diff.  After an intended
+   the Gaspard2 chain under off and fuse, and a rank-4 with-loop.  One
+   small plan is printed in full through all three backends, so a
+   change shows as a readable diff.  After an intended
    change to the emitted text, `dune promote` accepts it. *)
 
 let rows = 72
@@ -86,7 +87,8 @@ let tiled () =
     (Mde.Codegen.render
        {
          gen with
-         Mde.Codegen.kernel_tasks = List.map tile_task gen.Mde.Codegen.kernel_tasks;
+         Mde.Codegen.kernel_tasks =
+           List.map tile_task gen.Mde.Codegen.kernel_tasks;
        })
 
 let programs =
@@ -98,6 +100,18 @@ let programs =
     ("sac/downscaler", Sac.Programs.downscaler ~generic:false);
     ("sac/downscaler-generic", Sac.Programs.downscaler ~generic:true);
   ]
+
+(* A rank-4 with-loop: beyond CUDA's three block axes. *)
+let rank4_source =
+  {|
+int[*] main(int[2,3,4,5] a)
+{
+    b = with {
+        ([0, 1, 0, 1] <= [i, j, k, l] < [2, 3, 4, 5]) : a[[i, j, k, l]] * 2 + i - l;
+    } : modarray( a);
+    return( b);
+}
+|}
 
 let full_text () =
   let plan =
@@ -121,4 +135,5 @@ let () =
     (Sac.Programs.downscaler ~generic:false ~rows ~cols);
   gaspard Optimizer.Mode.Auto;
   tiled ();
+  sac_program Optimizer.Mode.Off "sac/rank4" rank4_source;
   full_text ()

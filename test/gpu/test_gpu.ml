@@ -909,17 +909,17 @@ let test_cuda_program_shape () =
       ~kernels:[ (vadd, [| 64 |]) ]
       ~steps:
         [
-          Cuda.Emit.Comment "transfer in";
-          Cuda.Emit.Alloc { dst = "d_a"; len = 64 };
-          Cuda.Emit.Memcpy_h2d { dst = "d_a"; src = "h_a"; len = 64 };
-          Cuda.Emit.Launch
+          C_print.Comment "transfer in";
+          C_print.Alloc { dst = "d_a"; len = 64 };
+          C_print.Upload { dst = "d_a"; src = "h_a"; len = 64 };
+          C_print.Launch
             {
               kernel = vadd;
               grid = [| 64 |];
               args = [ ("a", "d_a"); ("b", "d_a"); ("out", "d_a") ];
             };
-          Cuda.Emit.Memcpy_d2h { dst = "h_a"; src = "d_a"; len = 64 };
-          Cuda.Emit.Free { name = "d_a" };
+          C_print.Download { dst = "h_a"; src = "d_a"; len = 64 };
+          C_print.Free { name = "d_a" };
         ]
   in
   List.iter
@@ -939,16 +939,16 @@ let test_opencl_host_shape () =
     Opencl.Emit.host_program ~name:"downscaler"
       ~steps:
         [
-          Opencl.Emit.Create_buffer { dst = "d_in"; len = 128 };
-          Opencl.Emit.Write_buffer { dst = "d_in"; src = "h_in"; len = 128 };
-          Opencl.Emit.Enqueue_kernel
+          C_print.Alloc { dst = "d_in"; len = 128 };
+          C_print.Upload { dst = "d_in"; src = "h_in"; len = 128 };
+          C_print.Launch
             {
               kernel = vadd;
               grid = [| 128 |];
               args = [ ("a", "d_in"); ("b", "d_in"); ("out", "d_in") ];
             };
-          Opencl.Emit.Read_buffer { dst = "h_in"; src = "d_in"; len = 128 };
-          Opencl.Emit.Release { name = "d_in" };
+          C_print.Download { dst = "h_in"; src = "d_in"; len = 128 };
+          C_print.Free { name = "d_in" };
         ]
   in
   List.iter

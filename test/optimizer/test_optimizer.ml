@@ -418,9 +418,9 @@ let test_mde_search_pinned () =
    An item's size is its largest generator grid.  No 72x64 item gets
    there on the GTX480; on a one-SM device that saturates at 128
    threads the 512-thread gate applies to the horizontal filter
-   (72x8 = 576 threads) but not to the vertical one (8x24 = 192).  The lists
-   were recorded before the move generator moved into the shared
-   driver, and pin it. *)
+   (72x8 = 576 threads) but not to the vertical one (8x24 = 192).
+   The lists also pin the move order, which the search's explored and
+   rejected counts depend on. *)
 let tiny_device =
   {
     Gpu.Device.gtx480 with
@@ -435,8 +435,9 @@ let sac_move_rules ~device plan =
   let _, canon = Optimizer.Cache.canonical plan in
   List.map
     (fun (c : _ Optimizer.Search.candidate) -> canon c.Optimizer.Search.rule)
-    (Sac_cuda.Autotune.moves ~device
-       { Sac_cuda.Autotune.plan; fstats = Gpu.Fuse.no_stats; undo = None })
+    (Optimizer.Tune.moves
+       (Sac_cuda.Autotune.view ~device)
+       (Optimizer.Tune.init plan))
 
 let test_sac_tile_gate () =
   let off =
@@ -477,14 +478,17 @@ let test_mde_always_tiles () =
   let rules =
     List.map
       (fun (c : _ Optimizer.Search.candidate) -> c.Optimizer.Search.rule)
-      (Mde.Autotune.moves
-         { Mde.Autotune.gen = off; fstats = Gpu.Fuse.no_stats; undo = None })
+      (Optimizer.Tune.moves
+         (Mde.Autotune.view ~device:tiny_device ())
+         (Optimizer.Tune.init off))
   in
   List.iter
     (fun (kt : Mde.Codegen.kernel_task) ->
       List.iter
         (fun factor ->
-          let rule = Printf.sprintf "tile:%s:x%d" kt.Mde.Codegen.instance factor in
+          let rule =
+            Printf.sprintf "tile:%s:x%d" kt.Mde.Codegen.instance factor
+          in
           Alcotest.(check bool) (rule ^ " offered") true (List.mem rule rules))
         [ 2; 4 ])
     off.Mde.Codegen.kernel_tasks

@@ -176,6 +176,61 @@ let test_metal_sources () =
       ("makefile", src.Sac_metal.Backend.makefile, "-framework Metal");
     ]
 
+(* A rank-4 with-loop: CUDA has only three block axes, so its emitter
+   launches such grids 1-D and decomposes the linear thread id, like
+   OpenCL and Metal always do.  The generator covers a 2x2x4x4 sub-box
+   at an offset and modarray keeps the rest, so both the thread-id
+   decomposition and the index offsets are exercised. *)
+let rank4_source =
+  {|
+int[*] main(int[2,3,4,5] a)
+{
+    b = with {
+        ([0, 1, 0, 1] <= [i, j, k, l] < [2, 3, 4, 5]) : a[[i, j, k, l]] * 2 + i - l;
+    } : modarray( a);
+    return( b);
+}
+|}
+
+let test_rank4_emits_and_runs () =
+  let plan = fst (Sac_cuda.Compile.plan_of_source rank4_source ~entry:"main") in
+  let cu = Sac_cuda.Emit_cu.source ~name:"rank4" plan in
+  let ocl = Sac_opencl.Backend.sources ~name:"rank4" plan in
+  let mtl = Sac_metal.Backend.sources ~name:"rank4" plan in
+  List.iter
+    (fun (what, text, needle) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s contains %s" what needle)
+        true (contains text needle))
+    [
+      ("cu", cu, "int iGID = blockIdx.x * blockDim.x + threadIdx.x;");
+      ("cu", cu, "int gid0 = iGID / 32;");
+      ("cu", cu, "dim3 block(256, 1, 1);");
+      ("cl", ocl.Sac_opencl.Backend.cl, "int gid0 = iGID / 32;");
+      ("metal", mtl.Sac_metal.Backend.metal, "int gid0 = lin / 32;");
+    ];
+  let shape = [| 2; 3; 4; 5 |] in
+  let a = Tensor.init_lin shape (fun i -> (i * 37) mod 101) in
+  let expected =
+    Tensor.init shape (fun idx ->
+        let v = Tensor.get a idx in
+        if idx.(1) >= 1 && idx.(3) >= 1 then (v * 2) + idx.(0) - idx.(3) else v)
+  in
+  let args = [ ("a", a) ] in
+  let cuda = Sac_cuda.Exec.run (Cuda.Runtime.init ()) plan ~args in
+  let ocl =
+    Sac_opencl.Backend.run (Opencl.Runtime.create_context ()) plan ~args
+  in
+  let mtl =
+    Sac_metal.Backend.run (Metal.Runtime.create_system_default_device ()) plan
+      ~args
+  in
+  List.iter
+    (fun (what, (o : Sac_cuda.Exec.outcome)) ->
+      Alcotest.(check bool) (what ^ " bit-exact") true
+        (tensor_eq o.Sac_cuda.Exec.result expected))
+    [ ("CUDA", cuda); ("OpenCL", ocl); ("Metal", mtl) ]
+
 let prop_backends_agree =
   QCheck.Test.make
     ~name:"OpenCL and Metal backends = CUDA backend (random frames)" ~count:8
@@ -211,6 +266,8 @@ let () =
         [
           Alcotest.test_case "sources" `Quick test_sources;
           Alcotest.test_case "metal sources" `Quick test_metal_sources;
+          Alcotest.test_case "rank-4 with-loop, all backends" `Quick
+            test_rank4_emits_and_runs;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_backends_agree ] );
