@@ -9,106 +9,17 @@
    exactly [0, len).
 
    The symbolic route uses {!Affine} strided sets; when extraction
-   fails the checker falls back to concrete interpretation of every
-   thread with zero-filled buffers, which is exact whenever
+   fails the checker falls back to {!Gpu.Kir.iter_stores}, which
+   evaluates every thread with opaque loads.  That is exact whenever
    {!Gpu.Kir.cost_data_independent} holds (the address trace then
-   cannot depend on buffer contents). *)
+   cannot depend on buffer contents); an address that needs a scalar
+   parameter's value aborts the check with a warning. *)
 
 open Gpu
 
 let thread_cap = 1 lsl 22
 
 let product a = Array.fold_left ( * ) 1 a
-
-(* ---- concrete evaluation ----------------------------------------- *)
-
-exception Dynamic_error of string
-
-let rec eval_expr scalars env gid (e : Kir.expr) : int =
-  match e with
-  | Kir.Int n -> n
-  | Kir.Gid d -> gid.(d)
-  | Kir.Param p -> ( match List.assoc_opt p scalars with Some v -> v | None -> 0)
-  | Kir.Var v -> (
-      match List.assoc_opt v env with
-      | Some x -> x
-      | None -> raise (Dynamic_error ("unbound variable " ^ v)))
-  | Kir.Read (_, idx) ->
-      let _ = eval_expr scalars env gid idx in
-      0
-  | Kir.Bin (op, a, b) -> (
-      let x = eval_expr scalars env gid a and y = eval_expr scalars env gid b in
-      match op with
-      | Kir.Add -> x + y
-      | Kir.Sub -> x - y
-      | Kir.Mul -> x * y
-      | Kir.Div ->
-          if y = 0 then raise (Dynamic_error "division by zero") else x / y
-      | Kir.Mod ->
-          if y = 0 then raise (Dynamic_error "modulo by zero") else x mod y
-      | Kir.Min -> min x y
-      | Kir.Max -> max x y
-      | Kir.Lt -> if x < y then 1 else 0
-      | Kir.Le -> if x <= y then 1 else 0
-      | Kir.Gt -> if x > y then 1 else 0
-      | Kir.Ge -> if x >= y then 1 else 0
-      | Kir.Eq -> if x = y then 1 else 0
-      | Kir.Ne -> if x <> y then 1 else 0
-      | Kir.And -> if x <> 0 && y <> 0 then 1 else 0
-      | Kir.Or -> if x <> 0 || y <> 0 then 1 else 0)
-  | Kir.Select (c, a, b) ->
-      if eval_expr scalars env gid c <> 0 then eval_expr scalars env gid a
-      else eval_expr scalars env gid b
-
-let rec run_stmt scalars env gid ~on_store (s : Kir.stmt) =
-  match s with
-  | Kir.Let (name, e) -> (name, eval_expr scalars env gid e) :: env
-  | Kir.Store (buf, idx, v) ->
-      let a = eval_expr scalars env gid idx in
-      let _ = eval_expr scalars env gid v in
-      on_store buf a;
-      env
-  | Kir.If (c, t, f) ->
-      let branch = if eval_expr scalars env gid c <> 0 then t else f in
-      let _ = List.fold_left (fun env s -> run_stmt scalars env gid ~on_store s) env branch in
-      env
-  | Kir.For { var; lo; hi; body } ->
-      let l = eval_expr scalars env gid lo and h = eval_expr scalars env gid hi in
-      for i = l to h - 1 do
-        let _ =
-          List.fold_left
-            (fun env s -> run_stmt scalars env gid ~on_store s)
-            ((var, i) :: env) body
-        in
-        ()
-      done;
-      env
-
-(* Run every thread of [k] over [grid], calling [on_store ~tid buf addr]
-   for each store event (tid = row-major thread id), with buffer reads
-   yielding zero. *)
-let run_threads ?(scalars = []) ~grid ~on_store (k : Kir.t) =
-  let rank = Array.length grid in
-  let gid = Array.make rank 0 in
-  let tid = ref 0 in
-  let rec loop d =
-    if d = rank then begin
-      let here = !tid in
-      incr tid;
-      let _ =
-        List.fold_left
-          (fun env s -> run_stmt scalars env gid ~on_store:(on_store ~tid:here) s)
-          [] k.Kir.body
-      in
-      ()
-    end
-    else
-      for i = 0 to grid.(d) - 1 do
-        gid.(d) <- i;
-        loop (d + 1)
-      done
-  in
-  loop 0
 
 (* ---- the group check --------------------------------------------- *)
 
@@ -225,7 +136,7 @@ let check_group_uncached ~file ~out ~len ~full_cover kernels =
                ~where:(match infos with i :: _ -> kname_of i | [] -> out)
                "full-cover claim for %s not checked: disjointness unproven" out)
   | None ->
-      (* concrete fallback: interpret every thread, tracking the last
+      (* concrete fallback: evaluate every thread, tracking the last
          writer of each address *)
       let threads = List.fold_left (fun acc i -> acc + product i.grid) 0 infos in
       let data_indep =
@@ -247,23 +158,30 @@ let check_group_uncached ~file ~out ~len ~full_cover kernels =
         let writers = Array.make (max len 1) (-1) in
         let written = ref 0 in
         let race = ref None in
-        (try
-           List.iter
-             (fun i ->
-               let base = i.idx * (thread_cap + 1) in
-               run_threads ~grid:i.grid i.kernel ~on_store:(fun ~tid buf addr ->
-                   if buf = out && addr >= 0 && addr < len then begin
-                     let id = base + tid in
-                     let prev = writers.(addr) in
-                     if prev < 0 then incr written
-                     else if prev <> id && !race = None then race := Some (addr, i);
-                     writers.(addr) <- id
-                   end))
-             infos
-         with Dynamic_error m ->
-           report
-             (Finding.v Finding.Unproven_disjoint Finding.Warning ~file
-                ~where:out "concrete race check of %s aborted: %s" out m));
+        let rec run = function
+          | [] -> ()
+          | i :: rest -> (
+              let base = i.idx * (thread_cap + 1) in
+              let stores =
+                Kir.iter_stores i.kernel ~grid:i.grid (fun ~thread buf addr ->
+                    if buf = out && addr >= 0 && addr < len then begin
+                      let id = base + thread in
+                      let prev = writers.(addr) in
+                      if prev < 0 then incr written
+                      else if prev <> id && !race = None then
+                        race := Some (addr, i);
+                      writers.(addr) <- id
+                    end)
+              in
+              match stores with
+              | Ok () -> run rest
+              | Error m ->
+                  report
+                    (Finding.v Finding.Unproven_disjoint Finding.Warning ~file
+                       ~where:out "concrete race check of %s aborted: %s" out
+                       m))
+        in
+        run infos;
         (match !race with
         | Some (addr, i) ->
             report

@@ -12,10 +12,12 @@
     symbolic engine cannot decide degrade to [Warning]
     ([Unproven_disjoint] / [Unproven_cover]) or, past the thread
     budget, an [Analysis_skipped] note.  When the store addresses are
-    not recognisably affine the checker falls back to concrete
-    interpretation of every work-item (sound because generated kernels
-    are address-data-independent; checked via
-    {!Gpu.Kir.cost_data_independent}).  Verdicts are memoised
+    not recognisably affine the checker falls back to evaluating every
+    work-item with {!Gpu.Kir.iter_stores} (sound because generated
+    kernels are address-data-independent; checked via
+    {!Gpu.Kir.cost_data_independent}); an address that needs a scalar
+    parameter, or a division by zero, aborts that check with an
+    [Unproven_disjoint] warning.  Verdicts are memoised
     process-wide ({!Memo}) on all arguments. *)
 
 val check_group :

@@ -323,11 +323,11 @@ let profile_with_span kernel ~args ~grid =
   Obs.Tracer.finish ~cat:"gpu" "kernel.cost_profile" t0;
   c
 
-(* Data-independent kernels get their cost derived statically: same
-   numbers as an executed profile (asserted in runtest on every
-   built-in kernel), plus the access summary the perf model and the
-   linter consume.  Kernels the static interpreter cannot decide fall
-   back to instrumented execution. *)
+(* Data-independent kernels get their cost derived statically: the
+   numbers of a profile (the same evaluator, with opaque loads), plus
+   the access summary the perf model and the linter consume.  Kernels
+   the static route cannot decide are profiled with the launch's
+   data. *)
 let derive_cost kernel ~args ~grid =
   let scalars =
     List.filter_map

@@ -8,10 +8,11 @@ type exec_mode =
   | Sequential
   | Parallel of int  (** number of OCaml domains for kernel execution *)
   | Timing_only
-      (** Model kernel timing (cost profiling still interprets sampled
-          threads) but skip full functional execution — used by the
-          paper-scale experiments, whose correctness is separately
-          verified at representative sizes. *)
+      (** Model kernel timing but execute nothing: device buffers keep
+          their contents (cost profiling evaluates sampled threads into
+          private copies) — used by the paper-scale experiments, whose
+          correctness is separately verified at representative
+          sizes. *)
 
 type t
 

@@ -47,13 +47,15 @@ let bool_of_int i = i <> 0
 
 let int_of_bool b = if b then 1 else 0
 
+exception Kernel_error of string
+
 let apply_binop op a b =
   match op with
   | Add -> a + b
   | Sub -> a - b
   | Mul -> a * b
-  | Div -> if b = 0 then invalid_arg "Kir: division by zero" else a / b
-  | Mod -> if b = 0 then invalid_arg "Kir: modulo by zero" else a mod b
+  | Div -> if b = 0 then raise (Kernel_error "division by zero") else a / b
+  | Mod -> if b = 0 then raise (Kernel_error "modulo by zero") else a mod b
   | Min -> min a b
   | Max -> max a b
   | Lt -> int_of_bool (a < b)
@@ -195,8 +197,6 @@ type prepared = {
 
 type compiled = { scratch_size : int; run : int array -> int array -> unit }
 (* [run scratch gid] *)
-
-exception Kernel_error of string
 
 let param_positions kernel =
   (* Scalars and buffers get independent position spaces so [bind] can
@@ -465,14 +465,14 @@ let run_grid ?(domains = 1) compiled grid =
         (run_range compiled grid)
 
 (* ------------------------------------------------------------------ *)
-(* Instrumented interpretation for cost profiling                      *)
+(* Cost records                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Static memory-behaviour summary attached to costs derived without
-   executing the kernel (see {!static_cost} at the bottom of this
-   file).  Warp-level quantities are modelled over the simulator's
-   32-lane warps: a "segment" is a 32-word (128-byte) aligned span of a
-   buffer, the granularity a coalesced transaction fetches. *)
+   executing the kernel (see {!static_cost}).  Warp-level quantities
+   are modelled over the simulator's 32-lane warps: a "segment" is a
+   32-word (128-byte) aligned span of a buffer, the granularity a
+   coalesced transaction fetches. *)
 
 type buffer_access = {
   ba_buffer : string;
@@ -521,76 +521,6 @@ type cost = {
       (** present when the cost was derived statically *)
 }
 
-type trace = {
-  mutable reads : int;
-  mutable writes : int;
-  mutable ops : int;
-  mutable read_addrs : int list;  (** reversed trace of read addresses *)
-}
-
-let interp_thread kernel ~args ~gid trace =
-  let scalar name =
-    match List.assoc name args with
-    | Scalar_arg v -> v
-    | Buffer_arg _ -> assert false
-  in
-  let buffer name =
-    match List.assoc name args with
-    | Buffer_arg b -> b.Buffer.data
-    | Scalar_arg _ -> assert false
-  in
-  let rec eval env = function
-    | Int n -> n
-    | Gid d -> gid.(d)
-    | Param name -> scalar name
-    | Var name -> List.assoc name env
-    | Read (buf, idx) ->
-        let i = eval env idx in
-        trace.reads <- trace.reads + 1;
-        trace.read_addrs <- i :: trace.read_addrs;
-        let data = buffer buf in
-        if i < 0 || i >= Array.length data then
-          raise
-            (Kernel_error
-               (Printf.sprintf "%s: out-of-bounds read %s[%d]" kernel.kname
-                  buf i))
-        else data.(i)
-    | Bin (op, a, b) ->
-        trace.ops <- trace.ops + 1;
-        apply_binop op (eval env a) (eval env b)
-    | Select (c, a, b) ->
-        trace.ops <- trace.ops + 1;
-        if eval env c <> 0 then eval env a else eval env b
-  in
-  let rec exec env = function
-    | [] -> env
-    | Let (name, e) :: rest -> exec ((name, eval env e) :: env) rest
-    | Store (buf, idx, v) :: rest ->
-        let i = eval env idx in
-        let v = eval env v in
-        trace.writes <- trace.writes + 1;
-        let data = buffer buf in
-        if i < 0 || i >= Array.length data then
-          raise
-            (Kernel_error
-               (Printf.sprintf "%s: out-of-bounds write %s[%d]" kernel.kname
-                  buf i))
-        else data.(i) <- v;
-        exec env rest
-    | If (c, then_, else_) :: rest ->
-        ignore (exec env (if eval env c <> 0 then then_ else else_));
-        exec env rest
-    | For { var; lo; hi; body } :: rest ->
-        let stop = eval env hi in
-        let i = ref (eval env lo) in
-        while !i < stop do
-          ignore (exec ((var, !i) :: env) body);
-          incr i
-        done;
-        exec env rest
-  in
-  ignore (exec [] kernel.body)
-
 (* Classify the read pattern of one thread from its address trace: the
    median gap between consecutively issued reads.  Generated downscaler
    kernels read either consecutive pixels of a row (gap 1: [`Row]) or a
@@ -630,53 +560,6 @@ let burst_of_addrs addrs =
       done;
       float_of_int (Array.length a) /. float_of_int !runs
 
-let profile_threads kernel ~args ~grid =
-  (match check_args kernel args with
-  | Ok () -> ()
-  | Error m -> invalid_arg (Printf.sprintf "Kir.profile_threads: %s" m));
-  let total = Ndarray.Shape.size grid in
-  if total = 0 then
-    { reads_per_thread = 0.; writes_per_thread = 0.; ops_per_thread = 0.;
-      access = `Row; read_burst = 1.0; summary = None }
-  else begin
-    let samples = min total 64 in
-    let step = max 1 (total / samples) in
-    let reads = ref 0 and writes = ref 0 and ops = ref 0 in
-    let votes_row = ref 0 and votes_col = ref 0 and votes_gather = ref 0 in
-    let burst_sum = ref 0.0 in
-    let n = ref 0 in
-    let lin = ref 0 in
-    while !lin < total do
-      let gid = Ndarray.Index.unravel grid !lin in
-      let trace = { reads = 0; writes = 0; ops = 0; read_addrs = [] } in
-      interp_thread kernel ~args ~gid trace;
-      reads := !reads + trace.reads;
-      writes := !writes + trace.writes;
-      ops := !ops + trace.ops;
-      burst_sum := !burst_sum +. burst_of_addrs trace.read_addrs;
-      (match classify_addrs trace.read_addrs with
-      | `Row -> incr votes_row
-      | `Column -> incr votes_col
-      | `Gather -> incr votes_gather);
-      incr n;
-      lin := !lin + step
-    done;
-    let nf = float_of_int !n in
-    let access =
-      if !votes_gather > !votes_row && !votes_gather > !votes_col then `Gather
-      else if !votes_col > !votes_row then `Column
-      else `Row
-    in
-    {
-      reads_per_thread = float_of_int !reads /. nf;
-      writes_per_thread = float_of_int !writes /. nf;
-      ops_per_thread = float_of_int !ops /. nf;
-      access;
-      read_burst = !burst_sum /. nf;
-      summary = None;
-    }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Operator spellings and divergence-site labels                      *)
 (* ------------------------------------------------------------------ *)
@@ -712,33 +595,37 @@ let rec pp_expr ppf = function
       Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
 
 (* ------------------------------------------------------------------ *)
-(* Static (data-free) cost derivation                                  *)
+(* The instrumented evaluator                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* {!static_cost} re-derives the {!profile_threads} numbers without
-   touching buffer data: buffer loads evaluate to an opaque value, and
-   the evaluator demands that every address, branch condition and loop
-   bound still reduce to a concrete integer.  For any kernel that
-   passes {!cost_data_independent} this succeeds and — because it
-   mirrors [interp_thread]'s evaluation and counting order and samples
-   the identical thread set — reproduces the executed profile exactly,
-   while additionally deriving warp-level structure (coalescing
-   efficiency, read overlap, bank-conflict degree, divergence) from
-   three densely sampled warps.
+(* One evaluator counts sampled threads for both {!profile_threads}
+   and {!static_cost}, and enumerates store events for {!iter_stores},
+   so the two costs agree by construction.  It compiles the body once
+   into closures, as {!prepare} does for execution: variables resolve
+   to slots, buffers to parameter positions and [If] sites to array
+   indices.  What a load yields is fixed when the closures are built:
 
-   The body is compiled once per call into closures, as {!prepare}
-   does for execution: variables resolve to slots, buffers to parameter
-   positions and [If] sites to array indices, so the 160 sampled
-   threads run without name lookups. *)
+   - [Opaque hook]: an opaque value; every address, branch condition,
+     loop bound and divisor must still reduce to a concrete integer, or
+     evaluation stops with [Static_blocked].  The optional [hook buf
+     addr] sees the address of each store;
+   - [Concrete data]: the bounds-checked word of [data] (one array per
+     parameter position), into which stores also land.
+
+   Division or modulo by a concrete zero raises {!Kernel_error} in
+   both modes. *)
 
 exception Static_blocked of string
 
+type loads =
+  | Opaque of (string -> int -> unit) option
+  | Concrete of int array array
+
 (* One sampled thread's trace. *)
 type strace = {
-  mutable s_reads : int;
   mutable s_writes : int;
   mutable s_ops : int;
-  mutable s_read_addrs : int list;  (* reversed, like [trace] *)
+  mutable s_read_addrs : int list;  (* reversed *)
   s_buf_addrs : int list array;  (* reversed, per parameter position *)
   s_decisions : bool list array;  (* reversed, per If site *)
   s_site_ops : int array;
@@ -747,7 +634,7 @@ type strace = {
 
 (* Evaluation state of one compiled body, allocated once per kernel
    and passed to its closures.  A value is a concrete int unless its
-   [unknown] flag says it was loaded from a buffer. *)
+   [unknown] flag says it is an opaque load. *)
 type sstate = {
   mutable gid : int array;
   vals : int array;  (* let and loop slots *)
@@ -758,7 +645,6 @@ type sstate = {
 
 let new_strace ~nbufs ~nsites =
   {
-    s_reads = 0;
     s_writes = 0;
     s_ops = 0;
     s_read_addrs = [];
@@ -770,13 +656,12 @@ let new_strace ~nbufs ~nsites =
 
 let blocked m = raise (Static_blocked m)
 
-(* [op] with an operand loaded from a buffer ([ux]/[uy]): opaque
-   unless the other operand decides it (0 for [Mul]/[And], nonzero for
-   [Or]). *)
+(* [op] with an opaque operand ([ux]/[uy]): opaque unless the other
+   operand decides it (0 for [Mul]/[And], nonzero for [Or]). *)
 let opaque_binop st op x ux y uy =
   match op with
   | (Div | Mod) when uy -> blocked "buffer-dependent divisor"
-  | (Div | Mod) when y = 0 -> blocked "division or modulo by zero"
+  | (Div | Mod) when y = 0 -> apply_binop op x y (* raises *)
   | (Mul | And) when ((not ux) && x = 0) || ((not uy) && y = 0) ->
       st.unknown <- false;
       0
@@ -787,24 +672,35 @@ let opaque_binop st op x ux y uy =
       st.unknown <- true;
       0
 
-(* [compile_static ~scalars kernel] is [(run, sites)]: [run gid]
-   evaluates one thread and returns its trace; [sites] lists the
-   rendered [If] conditions by site index.  Sites are numbered parent
-   first, then the else branch, then the then branch — the order the
-   summaries have always listed them in. *)
-let compile_static ~scalars kernel =
+let count_read tr b i =
+  tr.s_read_addrs <- i :: tr.s_read_addrs;
+  tr.s_buf_addrs.(b) <- i :: tr.s_buf_addrs.(b)
+
+let out_of_bounds kernel what buf i =
+  raise
+    (Kernel_error
+       (Printf.sprintf "%s: out-of-bounds %s %s[%d]" kernel.kname what buf i))
+
+(* [instrument ~scalars ~loads kernel] is [(run, sites)]: [run gid]
+   evaluates one thread of the (valid) kernel and returns its trace;
+   [sites] lists the rendered [If] conditions by site index.  Sites
+   are numbered parent first, then the else branch, then the then
+   branch — the order the summaries have always listed them in.
+   Operands of a binary operator are evaluated right to left, the
+   issue order read bursts have always been counted in. *)
+let instrument ~scalars ~loads kernel =
   let nbufs = List.length kernel.params in
   let buf_index name =
     let rec go i = function
-      | [] -> invalid_arg ("Kir.static_cost: unknown buffer " ^ name)
+      | [] -> assert false (* validate *)
       | p :: rest -> if p.pname = name then i else go (i + 1) rest
     in
     go 0 kernel.params
   in
   let next_slot = ref 0 and next_site = ref 0 and sites = ref [] in
   (* Leaves are shared per value, slot or axis: the closures of a body
-     live through all 160 threads, so their size is what a call leaves
-     on the major heap. *)
+     live through all sampled threads, so their size is what a call
+     leaves on the major heap. *)
   let leaves = Hashtbl.create 64 in
   let leaf key make =
     match Hashtbl.find_opt leaves key with
@@ -834,31 +730,32 @@ let compile_static ~scalars kernel =
         leaf (`Var slot) (fun () st ->
             st.unknown <- st.unknowns.(slot);
             st.vals.(slot))
-    | Read (buf, idx) ->
+    | Read (buf, idx) -> (
         let b = buf_index buf and idx = expr scope idx in
-        fun st ->
-          let i = idx st in
-          if st.unknown then blocked "buffer-dependent read address";
-          let tr = st.tr in
-          tr.s_reads <- tr.s_reads + 1;
-          tr.s_read_addrs <- i :: tr.s_read_addrs;
-          tr.s_buf_addrs.(b) <- i :: tr.s_buf_addrs.(b);
-          st.unknown <- true;
-          0
+        match loads with
+        | Opaque _ ->
+            fun st ->
+              let i = idx st in
+              if st.unknown then blocked "buffer-dependent read address";
+              count_read st.tr b i;
+              st.unknown <- true;
+              0
+        | Concrete data ->
+            let data = data.(b) in
+            fun st ->
+              let i = idx st in
+              count_read st.tr b i;
+              if i < 0 || i >= Array.length data then
+                out_of_bounds kernel "read" buf i;
+              data.(i))
     | Bin (op, a, b) ->
         let a = expr scope a and b = expr scope b in
-        (* Same counting as [interp_thread]: one op, both operands
-           evaluated unconditionally — right-to-left, matching the
-           argument evaluation order of its [apply_binop] call, so the
-           issue order of read addresses (and hence burst) agrees. *)
         fun st ->
           st.tr.s_ops <- st.tr.s_ops + 1;
           let y = b st in
           let uy = st.unknown in
           let x = a st in
           if st.unknown || uy then opaque_binop st op x st.unknown y uy
-          else if (op = Div || op = Mod) && y = 0 then
-            blocked "division or modulo by zero"
           else apply_binop op x y
     | Select (c, a, b) ->
         let c = expr scope c and a = expr scope a and b = expr scope b in
@@ -889,14 +786,27 @@ let compile_static ~scalars kernel =
           fun st ->
             st.vals.(slot) <- e st;
             st.unknowns.(slot) <- st.unknown )
-    | Store (_, idx, v) ->
+    | Store (buf, idx, v) ->
         let idx = expr scope idx and v = expr scope v in
+        let commit =
+          match loads with
+          | Opaque None -> None
+          | Opaque (Some hook) -> Some (fun i _ -> hook buf i)
+          | Concrete data ->
+              let data = data.(buf_index buf) in
+              Some
+                (fun i x ->
+                  if i < 0 || i >= Array.length data then
+                    out_of_bounds kernel "write" buf i;
+                  data.(i) <- x)
+        in
         ( scope,
           fun st ->
-            ignore (idx st);
+            let i = idx st in
             if st.unknown then blocked "buffer-dependent store address";
-            ignore (v st);
-            st.tr.s_writes <- st.tr.s_writes + 1 )
+            let x = v st in
+            st.tr.s_writes <- st.tr.s_writes + 1;
+            match commit with None -> () | Some commit -> commit i x )
     | If (c, then_, else_) ->
         let site = !next_site in
         incr next_site;
@@ -953,6 +863,112 @@ let compile_static ~scalars kernel =
   in
   (run, List.rev !sites)
 
+(* ------------------------------------------------------------------ *)
+(* Cost profiles                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let zero_cost summary =
+  { reads_per_thread = 0.; writes_per_thread = 0.; ops_per_thread = 0.;
+    access = `Row; read_burst = 1.0; summary }
+
+(* Read traces of sampled threads: how many, their reads and burst
+   sum, and the access-class votes. *)
+type tally = {
+  mutable traces : int;
+  mutable reads : int;
+  mutable burst : float;
+  mutable row : int;
+  mutable col : int;
+  mutable gather : int;
+}
+
+let new_tally () =
+  { traces = 0; reads = 0; burst = 0.; row = 0; col = 0; gather = 0 }
+
+let tally t addrs =
+  t.traces <- t.traces + 1;
+  t.reads <- t.reads + List.length addrs;
+  t.burst <- t.burst +. burst_of_addrs addrs;
+  match classify_addrs addrs with
+  | `Row -> t.row <- t.row + 1
+  | `Column -> t.col <- t.col + 1
+  | `Gather -> t.gather <- t.gather + 1
+
+(* The dominant class, ties going to [`Row] then [`Column]. *)
+let vote t =
+  if t.gather > t.row && t.gather > t.col then `Gather
+  else if t.col > t.row then `Column
+  else `Row
+
+(* Phase A, shared by both costs: up to 64 threads strided across the
+   (non-empty) grid, averaged per thread.  [each] also sees every
+   sampled trace.  Returns the means and the sample count. *)
+let sample_threads ?(each = ignore) run grid =
+  let total = Ndarray.Shape.size grid in
+  let step = max 1 (total / min total 64) in
+  let t = new_tally () and writes = ref 0 and ops = ref 0 and lin = ref 0 in
+  while !lin < total do
+    let tr = run (Ndarray.Index.unravel grid !lin) in
+    tally t tr.s_read_addrs;
+    writes := !writes + tr.s_writes;
+    ops := !ops + tr.s_ops;
+    each tr;
+    lin := !lin + step
+  done;
+  let nf = float_of_int t.traces in
+  ( {
+      reads_per_thread = float_of_int t.reads /. nf;
+      writes_per_thread = float_of_int !writes /. nf;
+      ops_per_thread = float_of_int !ops /. nf;
+      access = vote t;
+      read_burst = t.burst /. nf;
+      summary = None;
+    },
+    nf )
+
+let profile_threads kernel ~args ~grid =
+  let check = function
+    | Ok () -> ()
+    | Error m -> invalid_arg ("Kir.profile_threads: " ^ m)
+  in
+  check (check_args kernel args);
+  check (validate kernel);
+  if Ndarray.Shape.size grid = 0 then zero_cost None
+  else begin
+    (* Stores land in private copies of the output buffers: later
+       sampled threads see earlier ones' writes, the launch's own
+       buffers stay untouched. *)
+    let data =
+      List.map
+        (fun p ->
+          match (p.kind, List.assoc p.pname args) with
+          | In_buffer, Buffer_arg b -> b.Buffer.data
+          | Out_buffer, Buffer_arg b -> Array.copy b.Buffer.data
+          | _ -> [||])
+        kernel.params
+    in
+    let scalars =
+      List.filter_map
+        (function n, Scalar_arg v -> Some (n, v) | _, Buffer_arg _ -> None)
+        args
+    in
+    let run, _ =
+      instrument ~scalars ~loads:(Concrete (Array.of_list data)) kernel
+    in
+    fst (sample_threads run grid)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Static (data-free) cost derivation                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* {!static_cost} runs phase A with opaque loads — the numbers of
+   {!profile_threads}, as long as no address, branch or bound needs a
+   loaded value, which {!cost_data_independent} guarantees — and adds
+   warp-level structure (coalescing efficiency, read overlap,
+   bank-conflict degree, divergence) from three densely sampled warps
+   (phase B). *)
+
 let warp_size = 32
 
 (* Floor division for (defensively) possibly-negative addresses. *)
@@ -960,23 +976,16 @@ let seg_of a = if a >= 0 then a / warp_size else ((a + 1) / warp_size) - 1
 
 type bstat = {
   mutable b_touched : bool;  (* some sampled thread or lane read it *)
-  mutable b_reads : int;
-  mutable b_burst : float;
-  mutable b_threads : int;  (* sampled threads that touched the buffer *)
-  mutable b_row : int;
-  mutable b_col : int;
-  mutable b_gather : int;
+  b_tally : tally;  (* phase A, over the threads that read the buffer *)
   (* warp-dense phase *)
   mutable b_events : int;  (* read events across sampled warps *)
-  mutable b_distinct : int;  (* distinct addresses across sampled warps *)
-  mutable b_useful : int;  (* distinct words the warp consumes *)
+  mutable b_distinct : int;  (* distinct words the warps consume *)
   mutable b_fetched : int;  (* words of the distinct segments fetched *)
   mutable b_bank : int;  (* max bank-conflict degree over steps *)
 }
 
 let new_bstat () =
-  { b_touched = false; b_reads = 0; b_burst = 0.; b_threads = 0; b_row = 0;
-    b_col = 0; b_gather = 0; b_events = 0; b_distinct = 0; b_useful = 0;
+  { b_touched = false; b_tally = new_tally (); b_events = 0; b_distinct = 0;
     b_fetched = 0; b_bank = 0 }
 
 let static_cost ?(scalars = []) kernel ~grid =
@@ -990,68 +999,30 @@ let static_cost ?(scalars = []) kernel ~grid =
         let stranded = (warp_size - (total mod warp_size)) mod warp_size in
         if total = 0 then
           Ok
-            {
-              reads_per_thread = 0.; writes_per_thread = 0.;
-              ops_per_thread = 0.; access = `Row; read_burst = 1.0;
-              summary =
-                Some
+            (zero_cost
+               (Some
                   {
                     as_buffers = []; as_branches = [];
                     as_divergent_branches = 0; as_divergent_ops = 0.;
                     as_stranded_lanes = 0; as_warp_size = warp_size;
-                  };
-            }
+                  }))
         else
-          let run, sites = compile_static ~scalars kernel in
+          let run, sites = instrument ~scalars ~loads:(Opaque None) kernel in
           let nsites = List.length sites in
+          let bstats =
+            Array.init (List.length kernel.params) (fun _ -> new_bstat ())
+          in
           try
-            (* Phase A: replicate [profile_threads]' thread sample and
-               aggregation bit-for-bit, with per-buffer splits. *)
-            let samples = min total 64 in
-            let step = max 1 (total / samples) in
-            let reads = ref 0 and writes = ref 0 and ops = ref 0 in
-            let votes_row = ref 0
-            and votes_col = ref 0
-            and votes_gather = ref 0 in
-            let burst_sum = ref 0.0 in
-            let n = ref 0 in
-            let bstats =
-              Array.init (List.length kernel.params) (fun _ -> new_bstat ())
-            in
-            let lin = ref 0 in
-            while !lin < total do
-              let tr = run (Ndarray.Index.unravel grid !lin) in
-              reads := !reads + tr.s_reads;
-              writes := !writes + tr.s_writes;
-              ops := !ops + tr.s_ops;
-              burst_sum := !burst_sum +. burst_of_addrs tr.s_read_addrs;
-              (match classify_addrs tr.s_read_addrs with
-              | `Row -> incr votes_row
-              | `Column -> incr votes_col
-              | `Gather -> incr votes_gather);
-              Array.iteri
-                (fun b l ->
-                  if l <> [] then begin
-                    let st = bstats.(b) in
-                    st.b_touched <- true;
-                    st.b_reads <- st.b_reads + List.length l;
-                    st.b_burst <- st.b_burst +. burst_of_addrs l;
-                    st.b_threads <- st.b_threads + 1;
-                    match classify_addrs l with
-                    | `Row -> st.b_row <- st.b_row + 1
-                    | `Column -> st.b_col <- st.b_col + 1
-                    | `Gather -> st.b_gather <- st.b_gather + 1
-                  end)
-                tr.s_buf_addrs;
-              incr n;
-              lin := !lin + step
-            done;
-            let nf = float_of_int !n in
-            let access =
-              if !votes_gather > !votes_row && !votes_gather > !votes_col
-              then `Gather
-              else if !votes_col > !votes_row then `Column
-              else `Row
+            (* Phase A, with per-buffer splits. *)
+            let cost, nf =
+              sample_threads run grid ~each:(fun tr ->
+                  Array.iteri
+                    (fun b l ->
+                      if l <> [] then begin
+                        bstats.(b).b_touched <- true;
+                        tally bstats.(b).b_tally l
+                      end)
+                    tr.s_buf_addrs)
             in
             (* Phase B: three dense warps (first, middle, last) for the
                cross-lane structure the per-thread sample cannot see. *)
@@ -1133,7 +1104,6 @@ let static_cost ?(scalars = []) kernel ~grid =
                           let s = seg_of a in
                           if not (Hashtbl.mem segs s) then Hashtbl.add segs s ())
                         seen;
-                      st.b_useful <- st.b_useful + Hashtbl.length seen;
                       st.b_fetched <-
                         st.b_fetched + (warp_size * Hashtbl.length segs);
                       st.b_distinct <- st.b_distinct + Hashtbl.length seen
@@ -1160,23 +1130,17 @@ let static_cost ?(scalars = []) kernel ~grid =
                      let st = bstats.(i) in
                      if p.kind = Scalar || not st.b_touched then []
                      else
-                       let tf = float_of_int (max 1 st.b_threads) in
+                       let t = st.b_tally in
                        [
                          {
                            ba_buffer = p.pname;
-                           ba_reads = float_of_int st.b_reads /. nf;
-                           ba_class =
-                             (if
-                                st.b_gather > st.b_row
-                                && st.b_gather > st.b_col
-                              then `Gather
-                              else if st.b_col > st.b_row then `Column
-                              else `Row);
-                           ba_burst = st.b_burst /. tf;
+                           ba_reads = float_of_int t.reads /. nf;
+                           ba_class = vote t;
+                           ba_burst = t.burst /. float_of_int (max 1 t.traces);
                            ba_efficiency =
                              (if st.b_fetched = 0 then 1.0
                               else
-                                float_of_int st.b_useful
+                                float_of_int st.b_distinct
                                 /. float_of_int st.b_fetched);
                            ba_overlap =
                              (if st.b_events = 0 then 0.0
@@ -1191,11 +1155,7 @@ let static_cost ?(scalars = []) kernel ~grid =
             in
             Ok
               {
-                reads_per_thread = float_of_int !reads /. nf;
-                writes_per_thread = float_of_int !writes /. nf;
-                ops_per_thread = float_of_int !ops /. nf;
-                access;
-                read_burst = !burst_sum /. nf;
+                cost with
                 summary =
                   Some
                     {
@@ -1210,5 +1170,23 @@ let static_cost ?(scalars = []) kernel ~grid =
                       as_warp_size = warp_size;
                     };
               }
-          with Static_blocked m -> Error m
+          with Static_blocked m | Kernel_error m -> Error m
       end
+
+(* ------------------------------------------------------------------ *)
+(* Store events                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let iter_stores kernel ~grid f =
+  match validate kernel with
+  | Error m -> Error m
+  | Ok () -> (
+      let thread = ref 0 in
+      let hook buf addr = f ~thread:!thread buf addr in
+      let run, _ = instrument ~scalars:[] ~loads:(Opaque (Some hook)) kernel in
+      try
+        Ndarray.Index.iter grid (fun gid ->
+            ignore (run gid);
+            incr thread);
+        Ok ()
+      with Static_blocked m | Kernel_error m -> Error m)

@@ -9,10 +9,12 @@
     The IR has three consumers:
     - {!compile} turns it into fast OCaml closures for functional
       (bit-exact) execution on the simulator;
-    - {!profile_threads} interprets sampled threads with instrumented
-      reads/writes to drive the analytic timing model;
-    - the [Cuda.Emit] and [Opencl.Emit] printers render it as CUDA C
-      and OpenCL C source text. *)
+    - one instrumented evaluator counts sampled threads to drive the
+      analytic timing model ({!profile_threads} with the argument
+      buffers' data, {!static_cost} with opaque loads) and enumerates
+      store events for the race checker ({!iter_stores});
+    - the {!C_print} printer renders it as CUDA C, OpenCL C or Metal
+      source text. *)
 
 type binop =
   | Add
@@ -69,8 +71,8 @@ val check_args : t -> (string * arg) list -> (unit, string) result
 (** Arguments match the parameter list in names and kinds. *)
 
 exception Kernel_error of string
-(** Raised during execution on division/modulo by zero or out-of-bounds
-    buffer access (the latter only under interpretation). *)
+(** Raised during execution or profiling on division/modulo by zero,
+    and by {!profile_threads} on an out-of-bounds buffer access. *)
 
 type prepared
 (** A kernel compiled to closures but not yet bound to arguments: the
@@ -187,10 +189,15 @@ type cost = {
 }
 
 val profile_threads : t -> args:(string * arg) list -> grid:Ndarray.Shape.t -> cost
-(** Interpret up to 64 threads spread across the grid with instrumented
-    memory accesses.  Thread bodies of the generated kernels are
-    control-uniform in all but boundary threads, so the sample mean is
-    an accurate per-thread cost. *)
+(** Evaluate up to 64 threads spread across the grid with instrumented
+    memory accesses, loads reading the argument buffers.  Thread bodies
+    of the generated kernels are control-uniform in all but boundary
+    threads, so the sample mean is an accurate per-thread cost.  Stores
+    go to private copies of the output buffers: later sampled threads
+    see earlier ones' writes, and every argument buffer is left
+    unchanged.  Raises [Invalid_argument] if {!check_args} or
+    {!validate} fails, and {!Kernel_error} on a division by zero or
+    out-of-bounds access in a sampled thread. *)
 
 val static_cost :
   ?scalars:(string * int) list ->
@@ -202,22 +209,27 @@ val static_cost :
     loop bound must still reduce to a concrete integer.  Succeeds for
     exactly the kernels whose addresses and control flow are data-free
     (a superset check of {!cost_data_independent} runs first), and then
-    agrees field-for-field with {!profile_threads} on the same launch —
-    it samples the identical thread set with identical counting.  The
-    result additionally carries an {!access_summary} with warp-level
+    agrees with {!profile_threads} on the same launch by construction:
+    both run the same instrumented evaluator over the same thread
+    sample, differing only in what a load yields.  The result
+    additionally carries an {!access_summary} with warp-level
     coalescing efficiency, read overlap, modelled bank conflicts and a
     divergence map, derived from three densely sampled warps (first,
     middle, last).  [scalars] supplies values for scalar parameters the
     body mentions. *)
 
-val classify_addrs : int list -> [ `Row | `Column | `Gather ]
-(** Classify a single thread's read-address trace (most recent first,
-    as accumulated during interpretation) by median gap between
-    consecutively issued reads. *)
-
-val burst_of_addrs : int list -> float
-(** Mean length of maximal consecutive-address runs of a read trace
-    (most recent first). *)
+val iter_stores :
+  t ->
+  grid:Ndarray.Shape.t ->
+  (thread:int -> string -> int -> unit) ->
+  (unit, string) result
+(** [iter_stores k ~grid f] evaluates every work-item in row-major
+    order with opaque loads, calling [f ~thread buf addr] for each
+    store event ([thread] is the row-major work-item index).  [Error]
+    when [k] is invalid or evaluation stops: an address, branch
+    condition, loop bound or divisor that needs a loaded value or a
+    scalar parameter, or a division by zero.  Events delivered before
+    the stop stand. *)
 
 val binop_symbol : binop -> string
 (** The C operator (or, for [Min]/[Max], function) spelling of an

@@ -321,6 +321,88 @@ let test_race_branch_uniform_cover () =
   in
   Alcotest.(check int) "no findings" 0 (List.length fs)
 
+(* ---------- race / coverage: concrete fallback ---------- *)
+
+(* Store addresses with a [gid * gid] term are not affine, so these
+   groups reach the concrete fallback that evaluates every work-item.
+   The findings are pinned as printed. *)
+
+let sq = Kir.Bin (Kir.Mul, Kir.Gid 0, Kir.Gid 0)
+
+(* (gid*gid mod 2) * 32 + gid / 2: a permutation of [0, 64) over 64
+   work-items; over the first 32 it writes 32 distinct addresses *)
+let parity_split =
+  Kir.Bin
+    ( Kir.Add,
+      Kir.Bin (Kir.Mul, Kir.Bin (Kir.Mod, sq, Kir.Int 2), Kir.Int 32),
+      Kir.Bin (Kir.Div, Kir.Gid 0, Kir.Int 2) )
+
+let check_fallback ~name ~full_cover ?(grid = [| 64 |]) idx expected () =
+  let k = store_kernel name idx in
+  Alcotest.(check bool) "not affine" true
+    (Analysis.Affine.store_sets ~grid k = None);
+  let fs =
+    Analysis.Race.check_group ~out:"out" ~len:64 ~full_cover [ (k, grid) ]
+  in
+  Alcotest.(check (list string)) "findings" expected
+    (List.map (Format.asprintf "%a" Analysis.Finding.pp_long) fs)
+
+let test_fallback_clean =
+  check_fallback ~name:"nl_clean" ~full_cover:true parity_split []
+
+let test_fallback_race =
+  check_fallback ~name:"nl_race" ~full_cover:true
+    (Kir.Bin (Kir.Mod, sq, Kir.Int 64))
+    [ "kir:nl_race: error[race]: two store events write out[0]" ]
+
+let test_fallback_bad_cover =
+  check_fallback ~name:"nl_half" ~full_cover:true ~grid:[| 32 |] parity_split
+    [
+      "kir:nl_half: error[bad-cover]: generators claim full cover of out but \
+       write 32 of 64 addresses";
+    ]
+
+let test_fallback_div_zero =
+  check_fallback ~name:"nl_div0" ~full_cover:true
+    (Kir.Bin (Kir.Div, sq, Kir.Bin (Kir.Sub, Kir.Gid 0, Kir.Gid 0)))
+    [
+      "kir:out: warning[unproven-disjoint]: concrete race check of out \
+       aborted: division by zero";
+      "kir:nl_div0: error[bad-cover]: generators claim full cover of out but \
+       write 0 of 64 addresses";
+    ]
+
+(* A scalar parameter in the store address: the fallback has no value
+   for it, so it must abort with a warning, not guess 0 (which would
+   report every work-item writing out[0]). *)
+let test_fallback_unbound_scalar () =
+  let k =
+    {
+      Kir.kname = "nl_scalar";
+      params =
+        [
+          { Kir.pname = "n"; kind = Kir.Scalar };
+          { Kir.pname = "out"; kind = Kir.Out_buffer };
+        ];
+      grid_rank = 1;
+      body =
+        [
+          Kir.Store
+            ("out", Kir.Bin (Kir.Mul, Kir.Gid 0, Kir.Param "n"), Kir.Int 1);
+        ];
+    }
+  in
+  let fs =
+    Analysis.Race.check_group ~out:"out" ~len:64 ~full_cover:false
+      [ (k, [| 64 |]) ]
+  in
+  Alcotest.(check (list string)) "findings"
+    [
+      "kir:out: warning[unproven-disjoint]: concrete race check of out \
+       aborted: no static value for scalar n";
+    ]
+    (List.map (Format.asprintf "%a" Analysis.Finding.pp_long) fs)
+
 (* ---------- residency ---------- *)
 
 let test_residency_clean () =
@@ -992,6 +1074,14 @@ let () =
             test_race_interleaved_disjoint;
           Alcotest.test_case "branch-uniform-stores" `Quick
             test_affine_branch_uniform;
+          Alcotest.test_case "fallback-clean" `Quick test_fallback_clean;
+          Alcotest.test_case "fallback-race" `Quick test_fallback_race;
+          Alcotest.test_case "fallback-bad-cover" `Quick
+            test_fallback_bad_cover;
+          Alcotest.test_case "fallback-div-zero" `Quick
+            test_fallback_div_zero;
+          Alcotest.test_case "fallback-unbound-scalar" `Quick
+            test_fallback_unbound_scalar;
           Alcotest.test_case "branch-uniform-cover" `Quick
             test_race_branch_uniform_cover;
         ] );

@@ -250,7 +250,8 @@ let prop_emitted_cuda_wellformed =
    optional lane-parity branch and an optional constant-bound loop):
    {!Gpu.Kir.static_cost} must reproduce the execution-counted
    {!Gpu.Kir.profile_threads} profile exactly -- reads, writes and ops
-   per thread, access class and burst length. *)
+   per thread, access class and burst length -- and profiling over
+   non-zero input must leave every argument buffer unchanged. *)
 
 type fuzz_kernel = {
   fr : int;
@@ -351,17 +352,27 @@ let prop_static_cost_matches_profile =
       let k = kir_of f in
       let grid = [| f.fr; f.fc |] in
       let len = f.fr * f.fc in
+      let input = Array.init len (fun i -> (i * 37 mod 101) - 50) in
       let args =
         [
           ( "in",
             Gpu.Kir.Buffer_arg
-              { Gpu.Buffer.id = 0; name = "in"; data = Array.make len 0 } );
+              { Gpu.Buffer.id = 0; name = "in"; data = Array.copy input } );
           ( "out",
             Gpu.Kir.Buffer_arg
               { Gpu.Buffer.id = 1; name = "out"; data = Array.make len 0 } );
         ]
       in
       let dynamic = Gpu.Kir.profile_threads k ~args ~grid in
+      List.iter
+        (fun (name, arg) ->
+          match arg with
+          | Gpu.Kir.Buffer_arg b ->
+              let before = if name = "in" then input else Array.make len 0 in
+              if b.Gpu.Buffer.data <> before then
+                QCheck.Test.fail_reportf "profiling changed buffer %s" name
+          | Gpu.Kir.Scalar_arg _ -> ())
+        args;
       match Gpu.Kir.static_cost k ~grid with
       | Error m -> QCheck.Test.fail_reportf "static derivation failed: %s" m
       | Ok st ->

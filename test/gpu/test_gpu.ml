@@ -270,11 +270,68 @@ let test_division_by_zero () =
   in
   let c = ctx () in
   let o = Context.alloc c ~name:"o" 1 in
-  Alcotest.(check bool) "raises" true
+  Alcotest.(check bool) "raises Kernel_error" true
     (try
        Context.launch c k ~grid:[| 1 |] ~args:[ ("o", Kir.Buffer_arg o) ];
        false
-     with Kir.Kernel_error _ | Invalid_argument _ -> true)
+     with Kir.Kernel_error _ -> true)
+
+let test_unbound_variable () =
+  let k =
+    Kir.
+      {
+        kname = "unbound";
+        params = [ { pname = "o"; kind = Out_buffer } ];
+        grid_rank = 1;
+        body = [ Store ("o", Gid 0, Var "x") ];
+      }
+  in
+  let c = ctx () in
+  let o = Context.alloc c ~name:"o" 4 in
+  match Context.launch c k ~grid:[| 4 |] ~args:[ ("o", Kir.Buffer_arg o) ] with
+  | () -> Alcotest.fail "launch of an invalid kernel succeeded"
+  | exception Invalid_argument m ->
+      let expected = "kernel unbound: unbound variable x" in
+      Alcotest.(check bool)
+        (Printf.sprintf "message %S names the validate error" m)
+        true
+        (String.ends_with ~suffix:expected m)
+
+(* A data-dependent kernel is profiled at every launch; the sampled
+   threads must not write into the launch's buffers: o[g] = o[g] + 1
+   where i[g] > 0 leaves exactly one increment per element. *)
+let test_profile_leaves_buffers mode () =
+  let k =
+    Kir.
+      {
+        kname = "incr_if";
+        params =
+          [
+            { pname = "i"; kind = In_buffer };
+            { pname = "o"; kind = Out_buffer };
+          ];
+        grid_rank = 1;
+        body =
+          [
+            If
+              ( Bin (Gt, Read ("i", Gid 0), Int 0),
+                [ Store ("o", Gid 0, Bin (Add, Read ("o", Gid 0), Int 1)) ],
+                [] );
+          ];
+      }
+  in
+  Alcotest.(check bool) "data-dependent" false (Kir.cost_data_independent k);
+  let c = Context.create ~mode Device.gtx480 in
+  let n = 256 in
+  let i = Context.alloc c ~name:"i" n and o = Context.alloc c ~name:"o" n in
+  Context.h2d c i (Array.make n 1);
+  Context.launch c k ~grid:[| n |]
+    ~args:[ ("i", Kir.Buffer_arg i); ("o", Kir.Buffer_arg o) ];
+  let host = Array.make n (-1) in
+  Context.d2h c o host;
+  let expected = if mode = Context.Timing_only then 0 else 1 in
+  Alcotest.(check (array int)) "one increment each" (Array.make n expected)
+    host
 
 (* ---------- Cost profiling ---------- *)
 
@@ -1666,6 +1723,11 @@ let () =
           Alcotest.test_case "if/select" `Quick test_if_and_select;
           Alcotest.test_case "for-loop tiler" `Quick test_for_loop_kernel;
           Alcotest.test_case "division by zero" `Quick test_division_by_zero;
+          Alcotest.test_case "unbound variable" `Quick test_unbound_variable;
+          Alcotest.test_case "profiling leaves buffers (sequential)" `Quick
+            (test_profile_leaves_buffers Context.Sequential);
+          Alcotest.test_case "profiling leaves buffers (timing only)" `Quick
+            (test_profile_leaves_buffers Context.Timing_only);
           Alcotest.test_case "pooled H/V filters = sequential" `Quick
             test_pooled_filters_match_sequential;
         ] );

@@ -6,10 +6,11 @@
    tiled and interchanged kernels are covered) this asserts that
    {!Gpu.Kir.static_cost} reproduces the execution-counted
    {!Gpu.Kir.profile_threads} profile exactly — reads/writes/ops per
-   thread, access class and burst length — prints the static per-buffer
-   and divergence summaries, and then runs {!Analysis.Perf_lint} over
-   the plan, requiring the shipped kernels to come out free of
-   error-severity perf findings.
+   thread, access class and burst length, profiled over non-zero
+   buffers that profiling must leave unchanged — prints the static
+   per-buffer and divergence summaries, and then runs
+   {!Analysis.Perf_lint} over the plan, requiring the shipped kernels
+   to come out free of error-severity perf findings.
 
    Exits non-zero on any disagreement or error finding.  The
    `perf-lint` alias (attached to runtest) also diffs the printed
@@ -44,12 +45,25 @@ let buffer_args kernel ~lengths =
           ( p.Gpu.Kir.pname,
             Gpu.Kir.Buffer_arg
               { Gpu.Buffer.id = 0; name = p.Gpu.Kir.pname;
-                data = Array.make len 0 } ))
+                data = Array.init len (fun i -> (i * 37 mod 101) - 50) } ))
     kernel.Gpu.Kir.params
+
+let buffer_data args =
+  List.map
+    (function
+      | _, Gpu.Kir.Buffer_arg b -> Array.copy b.Gpu.Buffer.data
+      | _, Gpu.Kir.Scalar_arg _ -> [||])
+    args
 
 let check_agreement name kernel ~grid ~lengths =
   let args = buffer_args kernel ~lengths in
+  let before = buffer_data args in
   let dynamic = Gpu.Kir.profile_threads kernel ~args ~grid in
+  if buffer_data args <> before then begin
+    Printf.printf "%-40s %-16s profiling changed an argument buffer\n" name
+      kernel.Gpu.Kir.kname;
+    failed := true
+  end;
   match Gpu.Kir.static_cost kernel ~grid with
   | Error m ->
       Printf.printf "%-40s %-16s static derivation failed: %s\n" name
