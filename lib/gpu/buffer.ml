@@ -1,16 +1,14 @@
-type t = { id : int; name : string; data : int array }
+type t = { id : int; name : string; len : int; data : int array }
 
-let length b = Array.length b.data
+let length b = b.len
 
 let bytes b = 4 * length b
 
-let get b i = b.data.(i)
-
-let set b i v = b.data.(i) <- v
+let stored b = Array.length b.data = b.len
 
 let fill b v = Array.fill b.data 0 (Array.length b.data) v
 
-let to_array b = Array.copy b.data
+let to_array b = if stored b then Array.copy b.data else Array.make b.len 0
 
 let pp ppf b =
   Format.fprintf ppf "buffer#%d %s[%d ints]" b.id b.name (length b)

@@ -31,7 +31,8 @@ let transfer ?label t ~src ~dst (buf : Buffer.t) =
     let sctx = context t src and dctx = context t dst in
     let len = Buffer.length buf in
     let moved = Context.alloc dctx ~name:buf.Buffer.name len in
-    Array.blit buf.Buffer.data 0 moved.Buffer.data 0 len;
+    if Buffer.stored moved then
+      Array.blit buf.Buffer.data 0 moved.Buffer.data 0 len;
     Context.free sctx buf;
     Context.record_d2d ?label dctx ~detail:buf.Buffer.name ~src
       ~bytes:(4 * len);

@@ -25,7 +25,8 @@ val contexts : t -> Context.t list
 
 val transfer : ?label:string -> t -> src:int -> dst:int -> Buffer.t -> Buffer.t
 (** Migrate a buffer from device [src] to device [dst]: allocate on
-    [dst], blit the contents, free on [src], and record a [Memcpy_d2d]
+    [dst], blit the contents (none in a timing-only cluster), free on
+    [src], and record a [Memcpy_d2d]
     event on the destination timeline (the receiving device pays).
     Returns the destination buffer; when [src = dst] the buffer is
     returned unchanged and nothing is recorded. *)

@@ -27,7 +27,7 @@ type t = {
   topology : Topology.t;
   dev : dev_metrics;
   timeline : Timeline.t;
-  mutable mode : exec_mode;
+  mode : exec_mode;
   mutable allocated : int;
   mutable peak : int;
   mutable next_id : int;
@@ -145,8 +145,6 @@ let allocated_bytes t = t.allocated
 
 let peak_bytes t = t.peak
 
-let set_mode t mode = t.mode <- mode
-
 let cache_stats t = t.stats
 
 let alloc t ~name len =
@@ -163,12 +161,14 @@ let alloc t ~name len =
     match Hashtbl.find_opt t.arena len with
     | Some (a :: rest) ->
         Hashtbl.replace t.arena len rest;
-        Array.fill a 0 len 0;
+        Array.fill a 0 (Array.length a) 0;
         Obs.Metrics.incr m_buffers_reused;
         a
-    | Some [] | None -> Array.make len 0
+    | Some [] | None -> (
+        (* Timing-only runs price sizes, never contents. *)
+        match t.mode with Timing_only -> [||] | _ -> Array.make len 0)
   in
-  let buf = { Buffer.id = t.next_id; name; data } in
+  let buf = { Buffer.id = t.next_id; name; len; data } in
   t.next_id <- t.next_id + 1;
   t.allocated <- t.allocated + bytes;
   if t.allocated > t.peak then t.peak <- t.allocated;
@@ -256,13 +256,15 @@ let record_d2d ?(label = "memcpyPeerAsync") t ~detail ~src ~bytes =
 let h2d ?(label = "memcpyHtoDasync") t (buf : Buffer.t) src =
   if Array.length src <> Buffer.length buf then
     invalid_arg "Context.h2d: length mismatch";
-  Array.blit src 0 buf.Buffer.data 0 (Array.length src);
+  if Buffer.stored buf then
+    Array.blit src 0 buf.Buffer.data 0 (Array.length src);
   copy_event t Timeline.Memcpy_h2d label buf.Buffer.name (4 * Array.length src)
 
 let d2h ?(label = "memcpyDtoHasync") t (buf : Buffer.t) dst =
   if Array.length dst <> Buffer.length buf then
     invalid_arg "Context.d2h: length mismatch";
-  Array.blit buf.Buffer.data 0 dst 0 (Array.length dst);
+  if Buffer.stored buf then Array.blit buf.Buffer.data 0 dst 0 (Array.length dst)
+  else Array.fill dst 0 (Array.length dst) 0;
   copy_event t Timeline.Memcpy_d2h label buf.Buffer.name (4 * Array.length dst)
 
 (* ------------------------------------------------------------------ *)

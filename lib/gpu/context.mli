@@ -8,11 +8,18 @@ type exec_mode =
   | Sequential
   | Parallel of int  (** number of OCaml domains for kernel execution *)
   | Timing_only
-      (** Model kernel timing but execute nothing: device buffers keep
-          their contents (cost profiling evaluates sampled threads into
-          private copies) — used by the paper-scale experiments, whose
-          correctness is separately verified at representative
-          sizes. *)
+      (** Model sizes only: kernels, transfers and allocations are
+          priced and recorded exactly as in the executing modes, but
+          buffers are storeless ({!Buffer.stored} is [false]), nothing
+          executes and nothing is copied.  Memory accounting
+          ({!allocated_bytes}, {!peak_bytes}, {!Out_of_memory}) is
+          unchanged, and a read-back yields zeros.  A kernel whose
+          cost depends on loaded data is profiled over zeros, which is
+          what every unwritten buffer would hold.  No shipped kernel
+          takes that route: over the smoke bench and the whole test
+          suite, only hand-written test kernels reach it.  Used by cost-guided search and the paper-scale
+          experiments, whose correctness is separately verified at
+          representative sizes. *)
 
 type t
 
@@ -47,13 +54,11 @@ val peak_bytes : t -> int
     last use, so this tracks the plan's working set rather than its
     total footprint. *)
 
-val set_mode : t -> exec_mode -> unit
-
 exception Out_of_memory of string
 
 val alloc : t -> name:string -> int -> Buffer.t
 (** [alloc ctx ~name len] allocates a device buffer of [len] ints,
-    zero-filled.  Raises {!Out_of_memory} when the device memory
+    zero-filled (storeless in {!Timing_only}).  Raises {!Out_of_memory} when the device memory
     budget would be exceeded. *)
 
 val free : t -> Buffer.t -> unit
@@ -65,11 +70,12 @@ val free : t -> Buffer.t -> unit
 
 val h2d : ?label:string -> t -> Buffer.t -> int array -> unit
 (** Copy a host array into a device buffer, recording a
-    [memcpyHtoDasync] event.  Lengths must match. *)
+    [memcpyHtoDasync] event.  Lengths must match.  Copies nothing into
+    a storeless buffer. *)
 
 val d2h : ?label:string -> t -> Buffer.t -> int array -> unit
 (** Copy a device buffer into a host array, recording a
-    [memcpyDtoHasync] event. *)
+    [memcpyDtoHasync] event.  A storeless buffer reads as zeros. *)
 
 val record_d2d :
   ?label:string -> t -> detail:string -> src:int -> bytes:int -> unit

@@ -937,13 +937,14 @@ let profile_threads kernel ~args ~grid =
   else begin
     (* Stores land in private copies of the output buffers: later
        sampled threads see earlier ones' writes, the launch's own
-       buffers stay untouched. *)
+       buffers stay untouched.  A storeless (timing-only) buffer reads
+       as the zeros it would hold. *)
     let data =
       List.map
         (fun p ->
           match (p.kind, List.assoc p.pname args) with
-          | In_buffer, Buffer_arg b -> b.Buffer.data
-          | Out_buffer, Buffer_arg b -> Array.copy b.Buffer.data
+          | In_buffer, Buffer_arg b when Buffer.stored b -> b.Buffer.data
+          | (In_buffer | Out_buffer), Buffer_arg b -> Buffer.to_array b
           | _ -> [||])
         kernel.params
     in

@@ -195,9 +195,10 @@ val profile_threads : t -> args:(string * arg) list -> grid:Ndarray.Shape.t -> c
     threads, so the sample mean is an accurate per-thread cost.  Stores
     go to private copies of the output buffers: later sampled threads
     see earlier ones' writes, and every argument buffer is left
-    unchanged.  Raises [Invalid_argument] if {!check_args} or
-    {!validate} fails, and {!Kernel_error} on a division by zero or
-    out-of-bounds access in a sampled thread. *)
+    unchanged.  A storeless buffer reads as zeros.  Raises
+    [Invalid_argument] if {!check_args} or {!validate} fails, and
+    {!Kernel_error} on a division by zero or out-of-bounds access in a
+    sampled thread. *)
 
 val static_cost :
   ?scalars:(string * int) list ->

@@ -1,10 +1,3 @@
-(* The cost runner below replays exactly the dataflow Chain.run
-   executes — boundary uploads, kernel launches in schedule order with
-   per-port buffers, boundary read-backs — against a timing-only
-   context, so the search objective is the same modelled time the
-   reproduction reports.  (It is deliberately independent of Chain so
-   Chain.transform can invoke the tuner without a dependency cycle.) *)
-
 open Ndarray
 
 (* Sources are regenerated from the kernel tasks at render time, so the
@@ -19,93 +12,22 @@ let fingerprint (g : Codegen.generated) =
     (g.Codegen.kernel_tasks, g.Codegen.levels, g.Codegen.connections)
 
 (* ------------------------------------------------------------------ *)
-(* Cost: schedule replay in a timing-only context                      *)
+(* Cost: the Exec level walk in a timing-only context                 *)
 (* ------------------------------------------------------------------ *)
 
 let modelled_us ?device (gen : Codegen.generated) =
   let ctx =
     Opencl.Runtime.create_context ~mode:Gpu.Context.Timing_only ?device ()
   in
-  let queue = Opencl.Runtime.create_command_queue ctx in
-  let program =
-    Opencl.Runtime.create_program_with_source ctx ~name:gen.Codegen.model_name
-      (List.map (fun kt -> kt.Codegen.kernel) gen.Codegen.kernel_tasks)
+  let inputs =
+    List.map
+      (fun (p : Arrayol.Model.port) ->
+        let shape = p.Arrayol.Model.pshape in
+        ( p.Arrayol.Model.pname,
+          Tensor.of_array shape (Optimizer.Tune.synthetic (Shape.size shape)) ))
+      gen.Codegen.boundary_inputs
   in
-  (match Opencl.Runtime.build_program program with
-  | Ok () -> ()
-  | Error m -> invalid_arg ("Mde.Autotune: " ^ m));
-  let buffers : (Arrayol.Model.endpoint, Opencl.Runtime.mem) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun (p : Arrayol.Model.port) ->
-      let n = Shape.size p.Arrayol.Model.pshape in
-      let mem =
-        Opencl.Runtime.create_buffer ctx ~name:p.Arrayol.Model.pname n
-      in
-      Opencl.Runtime.enqueue_write_buffer queue mem
-        (Optimizer.Tune.synthetic n);
-      Hashtbl.replace buffers (Arrayol.Model.Boundary p.Arrayol.Model.pname) mem)
-    gen.Codegen.boundary_inputs;
-  let source_of target =
-    match
-      List.find_opt
-        (fun (c : Arrayol.Model.connection) -> c.Arrayol.Model.cto = target)
-        gen.Codegen.connections
-    with
-    | Some c -> c.Arrayol.Model.cfrom
-    | None -> invalid_arg "Mde.Autotune: unconnected port"
-  in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun inst ->
-          match
-            List.find_opt
-              (fun kt -> kt.Codegen.instance = inst)
-              gen.Codegen.kernel_tasks
-          with
-          | None -> ()
-          | Some kt ->
-              let in_args =
-                List.map
-                  (fun (port, _) ->
-                    let src = source_of (Arrayol.Model.Part (inst, port)) in
-                    match Hashtbl.find_opt buffers src with
-                    | Some mem -> (Codegen.sanitize port, Gpu.Kir.Buffer_arg mem)
-                    | None -> invalid_arg "Mde.Autotune: value not ready")
-                  kt.Codegen.input_ports
-              in
-              let out_args =
-                List.map
-                  (fun (port, shape) ->
-                    let mem =
-                      Opencl.Runtime.create_buffer ctx ~name:(inst ^ "." ^ port)
-                        (Shape.size shape)
-                    in
-                    Hashtbl.replace buffers (Arrayol.Model.Part (inst, port)) mem;
-                    (Codegen.sanitize port, Gpu.Kir.Buffer_arg mem))
-                  kt.Codegen.output_ports
-              in
-              let kernel =
-                Opencl.Runtime.create_kernel program
-                  kt.Codegen.kernel.Gpu.Kir.kname
-              in
-              Opencl.Runtime.set_args kernel (in_args @ out_args);
-              Opencl.Runtime.enqueue_nd_range_kernel queue kernel
-                ~label:kt.Codegen.task_name ~global_work_size:kt.Codegen.grid)
-        level)
-    gen.Codegen.levels;
-  Opencl.Runtime.finish queue;
-  List.iter
-    (fun (p : Arrayol.Model.port) ->
-      let src = source_of (Arrayol.Model.Boundary p.Arrayol.Model.pname) in
-      match Hashtbl.find_opt buffers src with
-      | Some mem ->
-          Opencl.Runtime.enqueue_read_buffer queue mem
-            (Array.make (Shape.size p.Arrayol.Model.pshape) 0)
-      | None -> invalid_arg "Mde.Autotune: output never produced")
-    gen.Codegen.boundary_outputs;
+  ignore (Exec.run ctx gen ~inputs);
   Opencl.Runtime.elapsed_us ctx
 
 (* ------------------------------------------------------------------ *)

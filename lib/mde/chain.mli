@@ -24,6 +24,7 @@ val transform_exn :
   ?opt:Optimizer.Mode.t -> ?device:Gpu.Device.t -> Marte.model -> Codegen.generated
 
 exception Run_error of string
+(** = {!Exec.Run_error} *)
 
 val run :
   ?label_of:(string -> string) ->
@@ -32,13 +33,10 @@ val run :
   Codegen.generated ->
   inputs:(string * int Ndarray.Tensor.t) list ->
   (string * int Ndarray.Tensor.t) list
-(** Execute the generated program: boundary inputs are written to
-    device buffers ([clEnqueueWriteBuffer]), kernels run in schedule
-    order, boundary outputs are read back.  [label_of] maps a task name
-    to its profiling label (e.g. ["HorizontalFilter"] -> ["H. Filter"]);
-    defaults to the task name.  [liveness] (default [false]) releases
-    each buffer after its last schedule level, as callers running
-    optimised programs do ({!Optimizer.Mode.liveness}). *)
+(** Execute the generated program: {!Exec.run} under an [mde.run]
+    span.  [label_of] maps a task name to its profiling label (e.g.
+    ["HorizontalFilter"] -> ["H. Filter"]); callers running optimised
+    programs pass [~liveness:true] ({!Optimizer.Mode.liveness}). *)
 
 val downscaler_model : rows:int -> cols:int -> Marte.model
 (** The paper's frame-level downscaler, allocated data-parallel. *)

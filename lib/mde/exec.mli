@@ -1,0 +1,20 @@
+(** Execution of a generated Gaspard2 program: the one level walk
+    behind {!Chain.run} and {!Autotune.modelled_us} (the Gaspard2
+    counterpart of [Sac_cuda.Exec]). *)
+
+exception Run_error of string
+
+val run :
+  ?label_of:(string -> string) ->
+  ?liveness:bool ->
+  Opencl.Runtime.context ->
+  Codegen.generated ->
+  inputs:(string * int Ndarray.Tensor.t) list ->
+  (string * int Ndarray.Tensor.t) list
+(** Boundary inputs are written to device buffers
+    ([clEnqueueWriteBuffer]), kernels run level by level in schedule
+    order, boundary outputs are read back.  [label_of] maps a task name
+    to its profiling label (default: the task name); [liveness]
+    (default [false]) releases each buffer after its last schedule
+    level.  Raises {!Run_error} on a missing or mis-shaped input or a
+    broken dataflow. *)

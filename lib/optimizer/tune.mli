@@ -57,7 +57,10 @@ val moves : 'p view -> 'p state -> 'p state Search.candidate list
 
 val synthetic : int -> int array
 (** A shared synthetic input of the given length ([i mod 251]), for
-    timing-only cost runs; callers must not mutate it. *)
+    timing-only cost runs; callers must not mutate it.  A timing-only
+    device never reads it, but the SAC route's [`Estimate] host blocks
+    evaluate parameter values, so the cost runs still pass real
+    arrays. *)
 
 val tune : 'p view -> 'p -> 'p * Gpu.Fuse.stats * string list
 (** [tune view p] returns the tuned plan, the fusion savings it

@@ -14,9 +14,13 @@ val view : device:Gpu.Device.t -> Plan.t Optimizer.Tune.view
 
 val modelled_us : ?device:Gpu.Device.t -> Plan.t -> float
 (** Modelled single-frame time (device + host) of a plan under the
-    analytic cost model, via a timing-only runtime on synthetic
-    arguments.  Deterministic; this is both the search objective and
-    the number the autotune ablation reports. *)
+    analytic cost model: an [`Estimate] {!Exec.run} in a timing-only
+    runtime.  The device side prices sizes only; the arguments'
+    synthetic values reach just the host-block estimates, which
+    evaluate parameter values.  Deterministic, and equal to what a
+    [Sequential] [`Estimate] run models on real arguments; this is both
+    the search objective and the number the autotune ablation
+    reports. *)
 
 val tune : ?device:Gpu.Device.t -> Plan.t -> Plan.t * Gpu.Fuse.stats * string list
 (** [tune p] returns the tuned plan, the fusion savings it embodies and

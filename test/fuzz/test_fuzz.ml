@@ -357,10 +357,10 @@ let prop_static_cost_matches_profile =
         [
           ( "in",
             Gpu.Kir.Buffer_arg
-              { Gpu.Buffer.id = 0; name = "in"; data = Array.copy input } );
+              { Gpu.Buffer.id = 0; name = "in"; len; data = Array.copy input } );
           ( "out",
             Gpu.Kir.Buffer_arg
-              { Gpu.Buffer.id = 1; name = "out"; data = Array.make len 0 } );
+              { Gpu.Buffer.id = 1; name = "out"; len; data = Array.make len 0 } );
         ]
       in
       let dynamic = Gpu.Kir.profile_threads k ~args ~grid in

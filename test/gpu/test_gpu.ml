@@ -297,29 +297,30 @@ let test_unbound_variable () =
         true
         (String.ends_with ~suffix:expected m)
 
+(* o[g] = o[g] + 1 where i[g] > 0: its cost depends on loaded data. *)
+let incr_if =
+  Kir.
+    {
+      kname = "incr_if";
+      params =
+        [
+          { pname = "i"; kind = In_buffer }; { pname = "o"; kind = Out_buffer };
+        ];
+      grid_rank = 1;
+      body =
+        [
+          If
+            ( Bin (Gt, Read ("i", Gid 0), Int 0),
+              [ Store ("o", Gid 0, Bin (Add, Read ("o", Gid 0), Int 1)) ],
+              [] );
+        ];
+    }
+
 (* A data-dependent kernel is profiled at every launch; the sampled
    threads must not write into the launch's buffers: o[g] = o[g] + 1
    where i[g] > 0 leaves exactly one increment per element. *)
 let test_profile_leaves_buffers mode () =
-  let k =
-    Kir.
-      {
-        kname = "incr_if";
-        params =
-          [
-            { pname = "i"; kind = In_buffer };
-            { pname = "o"; kind = Out_buffer };
-          ];
-        grid_rank = 1;
-        body =
-          [
-            If
-              ( Bin (Gt, Read ("i", Gid 0), Int 0),
-                [ Store ("o", Gid 0, Bin (Add, Read ("o", Gid 0), Int 1)) ],
-                [] );
-          ];
-      }
-  in
+  let k = incr_if in
   Alcotest.(check bool) "data-dependent" false (Kir.cost_data_independent k);
   let c = Context.create ~mode Device.gtx480 in
   let n = 256 in
@@ -332,6 +333,35 @@ let test_profile_leaves_buffers mode () =
   let expected = if mode = Context.Timing_only then 0 else 1 in
   Alcotest.(check (array int)) "one increment each" (Array.make n expected)
     host
+
+(* A storeless buffer profiles as the zeros it would hold: incr_if
+   costs the same in Timing_only as in Sequential over zero inputs,
+   and differently over non-zero ones (so the data does matter). *)
+let test_profile_storeless_reads_zeros () =
+  let n = 256 in
+  let profile ?fill mode =
+    let c = Context.create ~mode Device.gtx480 in
+    let i = Context.alloc c ~name:"i" n and o = Context.alloc c ~name:"o" n in
+    Option.iter (fun v -> Context.h2d c i (Array.make n v)) fill;
+    let args = [ ("i", Kir.Buffer_arg i); ("o", Kir.Buffer_arg o) ] in
+    let cost = Kir.profile_threads incr_if ~args ~grid:[| n |] in
+    Context.launch c incr_if ~grid:[| n |] ~args;
+    let kernel_us =
+      List.filter_map
+        (fun (e : Timeline.event) ->
+          if e.Timeline.kind = Timeline.Kernel then Some e.Timeline.us
+          else None)
+        (Timeline.events (Context.timeline c))
+    in
+    (cost, kernel_us)
+  in
+  let zeros = profile Context.Sequential in
+  let storeless = profile ~fill:1 Context.Timing_only in
+  Alcotest.(check bool) "same cost record" true (fst zeros = fst storeless);
+  Alcotest.(check (list (float 0.0))) "same kernel µs" (snd zeros)
+    (snd storeless);
+  Alcotest.(check bool) "non-zero data costs differently" false
+    (fst (profile ~fill:1 Context.Sequential) = fst zeros)
 
 (* ---------- Cost profiling ---------- *)
 
@@ -502,9 +532,11 @@ let test_static_cost_agrees () =
   let args =
     [
       ( "a",
-        Kir.Buffer_arg { Buffer.id = 0; name = "a"; data = Array.make len 0 } );
+        Kir.Buffer_arg
+          { Buffer.id = 0; name = "a"; len; data = Array.make len 0 } );
       ( "out",
-        Kir.Buffer_arg { Buffer.id = 1; name = "out"; data = Array.make len 0 }
+        Kir.Buffer_arg
+          { Buffer.id = 1; name = "out"; len; data = Array.make len 0 }
       );
     ]
   in
@@ -582,9 +614,11 @@ let astring_contains hay needle =
   let rec go i = (i + nl <= hl) && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let test_alloc_accounting () =
-  let c = ctx () in
+let test_alloc_accounting mode () =
+  let c = Context.create ~mode Device.gtx480 in
   let b1 = Context.alloc c ~name:"b1" 1000 in
+  Alcotest.(check bool) "backing store only when executing"
+    (mode <> Context.Timing_only) (Buffer.stored b1);
   Alcotest.(check int) "4 bytes per int" 4000 (Context.allocated_bytes c);
   let b2 = Context.alloc c ~name:"b2" 500 in
   Alcotest.(check int) "cumulative" 6000 (Context.allocated_bytes c);
@@ -601,8 +635,8 @@ let test_alloc_accounting () =
        (* The message names the offending buffer. *)
        astring_contains m "b2")
 
-let test_peak_and_arena () =
-  let c = ctx () in
+let test_peak_and_arena mode () =
+  let c = Context.create ~mode Device.gtx480 in
   let b1 = Context.alloc c ~name:"b1" 1000 in
   let b2 = Context.alloc c ~name:"b2" 500 in
   Alcotest.(check int) "peak tracks both live" 6000 (Context.peak_bytes c);
@@ -641,8 +675,8 @@ let test_reset_drains_arena () =
     (reused ());
   Context.free c b3
 
-let test_out_of_memory () =
-  let c = ctx () in
+let test_out_of_memory mode () =
+  let c = Context.create ~mode Device.gtx480 in
   Alcotest.(check bool) "allocation beyond 1.5 GB rejected" true
     (try
        ignore (Context.alloc c ~name:"huge" (500 * 1024 * 1024));
@@ -651,19 +685,44 @@ let test_out_of_memory () =
 
 (* ---------- Timeline & profiler ---------- *)
 
+let metric name = Option.value ~default:0 (Obs.Metrics.find name)
+
+(* The same upload/launch/read-back in each mode: the events (kind,
+   bytes, µs) and the traffic counters must not depend on the mode;
+   only the read-back does, a timing-only one yielding zeros. *)
 let test_timeline_events () =
-  let c = ctx () in
-  let a = Context.alloc c ~name:"a" 10 in
-  Context.h2d c a (Array.make 10 1);
-  let out = Context.alloc c ~name:"o" 10 in
-  Context.launch c vadd ~grid:[| 10 |]
-    ~args:
-      [ ("a", Kir.Buffer_arg a); ("b", Kir.Buffer_arg a);
-        ("out", Kir.Buffer_arg out) ];
-  let host = Array.make 10 0 in
-  Context.d2h c out host;
+  let run mode =
+    let c = Context.create ~mode Device.gtx480 in
+    let traffic () = (metric "gpu.h2d_bytes", metric "gpu.d2h_bytes") in
+    let h2d0, d2h0 = traffic () in
+    let a = Context.alloc c ~name:"a" 10 in
+    Context.h2d c a (Array.make 10 1);
+    let out = Context.alloc c ~name:"o" 10 in
+    Context.launch c vadd ~grid:[| 10 |]
+      ~args:
+        [ ("a", Kir.Buffer_arg a); ("b", Kir.Buffer_arg a);
+          ("out", Kir.Buffer_arg out) ];
+    let host = Array.make 10 (-1) in
+    Context.d2h c out host;
+    let h2d1, d2h1 = traffic () in
+    let events =
+      List.map
+        (fun (e : Timeline.event) -> (e.Timeline.kind, e.bytes, e.us))
+        (Timeline.events (Context.timeline c))
+    in
+    (c, events, (h2d1 - h2d0, d2h1 - d2h0), host)
+  in
+  let c, events, traffic, host = run Context.Sequential in
   Alcotest.(check int) "3 events" 3 (Timeline.count (Context.timeline c));
-  Alcotest.(check bool) "time accumulated" true (Context.elapsed_us c > 0.0)
+  Alcotest.(check bool) "time accumulated" true (Context.elapsed_us c > 0.0);
+  Alcotest.(check (array int)) "read-back" (Array.make 10 2) host;
+  let _, t_events, t_traffic, t_host = run Context.Timing_only in
+  Alcotest.(check bool) "timing-only events identical" true
+    (events = t_events);
+  Alcotest.(check (pair int int)) "timing-only h2d/d2h bytes" traffic
+    t_traffic;
+  Alcotest.(check (array int)) "timing-only read-back is zeros"
+    (Array.make 10 0) t_host
 
 let test_timeline_replay () =
   let t = Timeline.create () in
@@ -1641,6 +1700,20 @@ let test_sched_stream_pinning_and_migration () =
   Alcotest.(check int) "migration counted" 1 (Sched.migrations s)
 
 let test_cluster_transfer_accounting () =
+  let migrate mode =
+    let cl = Cluster.uniform ~mode ~devices:2 Device.gtx480 in
+    let buf = Context.alloc (Cluster.context cl 0) ~name:"x" 1000 in
+    let moved = Cluster.transfer cl ~src:0 ~dst:1 buf in
+    let host = Array.make 1000 (-1) in
+    Context.d2h (Cluster.context cl 1) moved host;
+    (Context.elapsed_us (Cluster.context cl 1), host)
+  in
+  let us, _ = migrate Context.Sequential in
+  let t_us, t_host = migrate Context.Timing_only in
+  Alcotest.(check (float 0.0)) "timing-only receiver µs (d2d + read-back)"
+    us t_us;
+  Alcotest.(check (array int)) "timing-only migrated read-back is zeros"
+    (Array.make 1000 0) t_host;
   let cl = Cluster.uniform ~devices:2 Device.gtx480 in
   let c0 = Cluster.context cl 0 and c1 = Cluster.context cl 1 in
   let n = 16 in
@@ -1675,8 +1748,6 @@ let test_cluster_transfer_accounting () =
           (fun (e : Timeline.event) ->
             e.Timeline.kind = Timeline.Memcpy_d2d)
           merged))
-
-let metric name = Option.value ~default:0 (Obs.Metrics.find name)
 
 let test_per_device_metrics_isolated () =
   let topo = Topology.uniform ~devices:2 Device.gtx480 in
@@ -1728,6 +1799,8 @@ let () =
             (test_profile_leaves_buffers Context.Sequential);
           Alcotest.test_case "profiling leaves buffers (timing only)" `Quick
             (test_profile_leaves_buffers Context.Timing_only);
+          Alcotest.test_case "storeless profile reads zeros" `Quick
+            test_profile_storeless_reads_zeros;
           Alcotest.test_case "pooled H/V filters = sequential" `Quick
             test_pooled_filters_match_sequential;
         ] );
@@ -1774,11 +1847,20 @@ let () =
         ] );
       ( "memory",
         [
-          Alcotest.test_case "accounting" `Quick test_alloc_accounting;
-          Alcotest.test_case "peak and arena" `Quick test_peak_and_arena;
+          Alcotest.test_case "accounting" `Quick
+            (test_alloc_accounting Context.Sequential);
+          Alcotest.test_case "accounting (timing only)" `Quick
+            (test_alloc_accounting Context.Timing_only);
+          Alcotest.test_case "peak and arena" `Quick
+            (test_peak_and_arena Context.Sequential);
+          Alcotest.test_case "peak and arena (timing only)" `Quick
+            (test_peak_and_arena Context.Timing_only);
           Alcotest.test_case "reset drains arena" `Quick
             test_reset_drains_arena;
-          Alcotest.test_case "out of memory" `Quick test_out_of_memory;
+          Alcotest.test_case "out of memory" `Quick
+            (test_out_of_memory Context.Sequential);
+          Alcotest.test_case "out of memory (timing only)" `Quick
+            (test_out_of_memory Context.Timing_only);
         ] );
       ( "timeline",
         [

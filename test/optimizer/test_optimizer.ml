@@ -44,7 +44,7 @@ let toy_kernel =
 
 let toy_grid = [| grid_h; grid_w |]
 
-let buffer name n = { Buffer.id = 0; name; data = Array.make n 0 }
+let buffer name n = { Buffer.id = 0; name; len = n; data = Array.make n 0 }
 
 let run_kernel (k, grid) =
   let n = grid_h * grid_w in
@@ -534,6 +534,71 @@ let test_mde_replay_across_compiles () =
     (Mde.Autotune.modelled_us searched)
     (Mde.Autotune.modelled_us replayed)
 
+(* ---------- Timing-only cost runs price what execution models ---------- *)
+
+(* Both autotuners score plans in a timing-only context, which models
+   sizes and never reads data; the search is only sound if that gives
+   exactly the µs a Sequential run on real frames models. *)
+let opts = Optimizer.Mode.[ ("off", Off); ("fuse", Fuse); ("auto", Auto) ]
+
+let timing_frame ~rows ~cols =
+  Video.Framegen.frame { Video.Format.name = "t"; rows; cols } 1
+
+let test_sac_timing_only_exact ~generic ~rows ~cols () =
+  let plane = Video.Frame.plane (timing_frame ~rows ~cols) Video.Frame.R in
+  List.iter
+    (fun (name, opt) ->
+      let plan =
+        fst
+          (Sac_cuda.Compile.plan_of_source ~opt
+             (Sac.Programs.downscaler ~generic ~rows ~cols)
+             ~entry:"main")
+      in
+      let rt = Cuda.Runtime.init ~mode:Context.Sequential () in
+      let outcome =
+        Sac_cuda.Exec.run ~host_mode:`Estimate rt plan
+          ~args:(List.map (fun (n, _) -> (n, plane)) plan.Sac_cuda.Plan.params)
+      in
+      Alcotest.(check (float 0.0))
+        (name ^ ": modelled_us = executed µs")
+        (Cuda.Runtime.elapsed_us rt +. outcome.Sac_cuda.Exec.host_us)
+        (Sac_cuda.Autotune.modelled_us plan))
+    opts
+
+let test_mde_timing_only_exact ~rows ~cols () =
+  let frame = timing_frame ~rows ~cols in
+  let inputs =
+    List.map
+      (fun (port, ch) -> (port, Video.Frame.plane frame ch))
+      Video.Frame.[ ("r_in", R); ("g_in", G); ("b_in", B) ]
+  in
+  List.iter
+    (fun (name, opt) ->
+      let gen =
+        Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
+      in
+      let ctx = Opencl.Runtime.create_context ~mode:Context.Sequential () in
+      ignore (Mde.Chain.run ctx gen ~inputs);
+      Alcotest.(check (float 0.0))
+        (name ^ ": modelled_us = executed µs")
+        (Opencl.Runtime.elapsed_us ctx)
+        (Mde.Autotune.modelled_us gen))
+    opts
+
+let timing_only_cases =
+  List.concat_map
+    (fun (rows, cols) ->
+      let size = Printf.sprintf "%dx%d" rows cols in
+      [
+        Alcotest.test_case ("sac generic " ^ size) `Quick
+          (test_sac_timing_only_exact ~generic:true ~rows ~cols);
+        Alcotest.test_case ("sac non-generic " ^ size) `Quick
+          (test_sac_timing_only_exact ~generic:false ~rows ~cols);
+        Alcotest.test_case ("mde " ^ size) `Quick
+          (test_mde_timing_only_exact ~rows ~cols);
+      ])
+    [ (72, 64); (144, 176) ]
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -596,4 +661,5 @@ let () =
           Alcotest.test_case "mde replay across compiles" `Quick
             test_mde_replay_across_compiles;
         ] );
+      ("timing-only exact", timing_only_cases);
     ]

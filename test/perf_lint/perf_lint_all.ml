@@ -44,7 +44,7 @@ let buffer_args kernel ~lengths =
           in
           ( p.Gpu.Kir.pname,
             Gpu.Kir.Buffer_arg
-              { Gpu.Buffer.id = 0; name = p.Gpu.Kir.pname;
+              { Gpu.Buffer.id = 0; name = p.Gpu.Kir.pname; len;
                 data = Array.init len (fun i -> (i * 37 mod 101) - 50) } ))
     kernel.Gpu.Kir.params
 
