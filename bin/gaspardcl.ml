@@ -94,7 +94,12 @@ let main rows cols out_dir show_model load save_model lint perf_lint opt
   in
   let model =
     match load with
-    | Some path -> Mde.Marte.allocate_data_parallel (Mde.Model_io.load path)
+    | Some path -> (
+        match Mde.Model_io.load path with
+        | m -> Mde.Marte.allocate_data_parallel m
+        | exception Mde.Model_io.Format_error m ->
+            Printf.eprintf "gaspardcl: %s\n" m;
+            exit 1)
     | None -> Mde.Chain.downscaler_model ~rows ~cols
   in
   (match save_model with

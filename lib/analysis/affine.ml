@@ -278,66 +278,8 @@ let store_sets ~grid (k : Kir.t) : (string * sset) list option =
 
 type verdict = Proved | Refuted of string | Unknown
 
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-let pos_mod a m =
-  let r = a mod m in
-  if r < 0 then r + m else r
-
-let residue_cap = 4096
-
-(* Residues of a strided set modulo M as a boolean table, or None when
-   M is too large.  A single stride (c, n) covers multiples of
-   gcd(c,M) once n reaches the cycle length. *)
-let residues_mod s m =
-  if m < 2 || m > residue_cap then None
-  else begin
-    let cur = Bytes.make m '\000' in
-    Bytes.set cur (pos_mod s.base m) '\001';
-    let shift_by table offsets =
-      let out = Bytes.make m '\000' in
-      List.iter
-        (fun off ->
-          for r = 0 to m - 1 do
-            if Bytes.get table r = '\001' then Bytes.set out (pos_mod (r + off) m) '\001'
-          done)
-        offsets;
-      out
-    in
-    let table =
-      List.fold_left
-        (fun table (c, n) ->
-          let cm = pos_mod c m in
-          if cm = 0 then table (* multiples of m shift nothing mod m *)
-          else
-            let cycle = m / gcd cm m in
-            let steps = min n cycle in
-            let offsets = List.init steps (fun k -> pos_mod (k * c) m) in
-            shift_by table offsets)
-        cur s.strides
-    in
-    Some table
-  end
-
-let residue_tables_disjoint t1 t2 m =
-  let rec go r =
-    if r >= m then true
-    else if Bytes.get t1 r = '\001' && Bytes.get t2 r = '\001' then false
-    else go (r + 1)
-  in
-  go 0
-
-let enum_cap = 1 lsl 22
-
-let iter_values s f =
-  let rec go base = function
-    | [] -> f base
-    | (c, n) :: rest ->
-        for k = 0 to n - 1 do
-          go (base + (k * c)) rest
-        done
-  in
-  go s.base s.strides
+(* Both questions go to the one bounded lattice search of
+   {!Ndarray.Linalg}; running out of its budget is [Unknown]. *)
 
 let self_injective s : verdict =
   if List.exists (fun (c, n) -> c = 0 && n > 1) s.strides then
@@ -345,62 +287,20 @@ let self_injective s : verdict =
       Refuted "a grid dimension does not appear in the store index"
     else Unknown
   else
-    let sorted = List.sort (fun (a, _) (b, _) -> compare (abs a) (abs b)) s.strides in
-    let rec dominates reach = function
-      | [] -> Proved
-      | (c, n) :: rest ->
-          if abs c <= reach then Unknown
-          else dominates (reach + (abs c * (n - 1))) rest
-    in
-    match dominates 0 sorted with
-    | Proved -> Proved
-    | _ when s.events <= enum_cap ->
-        let seen = Hashtbl.create (2 * s.events) in
-        let dup = ref false in
-        iter_values s (fun v ->
-            if Hashtbl.mem seen v then dup := true else Hashtbl.add seen v ());
-        if not !dup then Proved
-        else if s.exact then Refuted "two work-items compute the same address"
-        else Unknown
-    | v -> v
+    match Ndarray.Linalg.injective s.strides with
+    | No_solution -> Proved
+    | Solution _ when s.exact -> Refuted "two work-items compute the same address"
+    | Solution _ | Gave_up -> Unknown
 
 let disjoint s1 s2 : verdict =
-  if s1.hi < s2.lo || s2.hi < s1.lo then Proved
-  else
-    let coeffs =
-      List.filter (fun c -> c <> 0)
-        (List.map fst s1.strides @ List.map fst s2.strides)
-    in
-    let g = List.fold_left gcd 0 coeffs in
-    if g > 1 && pos_mod (s1.base - s2.base) g <> 0 then Proved
-    else
-      let candidates =
-        List.sort_uniq compare (List.filter (fun m -> m > 1) (List.map abs coeffs))
+  match Ndarray.Linalg.meet (s1.base, s1.strides) (s2.base, s2.strides) with
+  | No_solution -> Proved
+  | Solution k when s1.exact && s2.exact ->
+      let addr =
+        List.fold_left ( + ) s1.base (List.mapi (fun i (c, _) -> c * k.(i)) s1.strides)
       in
-      let rec try_moduli = function
-        | [] -> None
-        | m :: rest -> (
-            match (residues_mod s1 m, residues_mod s2 m) with
-            | Some t1, Some t2 when residue_tables_disjoint t1 t2 m -> Some Proved
-            | _ -> try_moduli rest)
-      in
-      match try_moduli candidates with
-      | Some v -> v
-      | None ->
-          if s1.events + s2.events <= enum_cap then begin
-            let seen = Hashtbl.create (2 * s1.events) in
-            iter_values s1 (fun v -> Hashtbl.replace seen v ());
-            let clash = ref None in
-            iter_values s2 (fun v ->
-                if !clash = None && Hashtbl.mem seen v then clash := Some v);
-            match !clash with
-            | None -> Proved
-            | Some v ->
-                if s1.exact && s2.exact then
-                  Refuted (Printf.sprintf "both write address %d" v)
-                else Unknown
-          end
-          else Unknown
+      Refuted (Printf.sprintf "both write address %d" addr)
+  | Solution _ | Gave_up -> Unknown
 
 let pp_sset ppf s =
   Format.fprintf ppf "%d" s.base;

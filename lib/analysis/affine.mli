@@ -21,16 +21,7 @@ type form = { const : int; terms : (var * int) list }
 
 val const_form : int -> form
 
-val add_forms : form -> form -> form
-
 val sub_forms : form -> form -> form
-
-val scale_form : int -> form -> form
-
-val var_count : int array -> var -> int
-(** Number of values the variable ranges over under the given grid. *)
-
-val form_interval : int array -> form -> Interval.t
 
 exception Not_affine
 
@@ -71,14 +62,15 @@ val store_sets : grid:int array -> Gpu.Kir.t -> (string * sset) list option
 type verdict = Proved | Refuted of string | Unknown
 
 val self_injective : sset -> verdict
-(** Do distinct work-items write distinct addresses?  Decided by a
-    mixed-radix dominance test, with concrete enumeration as fallback
-    for small sets. *)
+(** Do distinct work-items write distinct addresses?  A zero stride is
+    refuted outright; otherwise {!Ndarray.Linalg.injective} decides it
+    exactly, and [Unknown] means its node budget ran out (or the set is
+    inexact and a collision exists). *)
 
 val disjoint : sset -> sset -> verdict
-(** Are the two address sets disjoint?  Tries interval separation, a
-    gcd/residue test on the stride lattice, enumeration of residues
-    modulo each stride magnitude, then concrete enumeration for small
-    sets. *)
+(** Are the two address sets disjoint?  Decided by
+    {!Ndarray.Linalg.meet}.  [Refuted] names a common address and needs
+    both sets exact; [Unknown] otherwise, or when the node budget runs
+    out. *)
 
 val pp_sset : Format.formatter -> sset -> unit

@@ -2,16 +2,10 @@ open Ndarray
 
 type issue = { loc : string; where : string; what : string }
 
-let log_src = Logs.Src.create "analysis" ~doc:"Static-analysis findings"
-
-module Log = (val Logs.src_log log_src)
-
 let issue loc where fmt =
   Format.kasprintf (fun what -> { loc; where; what }) fmt
 
-let default_exact_cover_limit = 1_000_000
-
-let check_tiling ~loc ~exact_cover_limit task acc ~output tiling =
+let check_tiling ~loc task acc ~output tiling =
   let where = Model.name task in
   let issue where fmt = issue loc where fmt in
   try
@@ -25,33 +19,21 @@ let check_tiling ~loc ~exact_cover_limit task acc ~output tiling =
       | Error m ->
           issue where "tiler on port %s: %s" tiling.Model.inner_port m :: acc
     in
-    if Shape.size spec.Tiler.array_shape <= exact_cover_limit then begin
-      if output && not (Tiler.is_exact_cover spec) then
-        issue where
-          "output tiler on port %s is not an exact cover (single \
-           assignment violated)"
-          tiling.Model.inner_port
-        :: acc
-      else if (not output) && not (Tiler.covers_array spec) then
-        issue where "input tiler on port %s does not read the whole array"
-          tiling.Model.inner_port
-        :: acc
-      else acc
-    end
-    else begin
-      (* Not silent: the skipped cover analysis is visible in the log
-         even though it produces no issue. *)
-      Log.info (fun k ->
-          k "%s:%s: analysis skipped: cover check on port %s (%d elements > limit %d)"
-            loc where tiling.Model.inner_port
-            (Shape.size spec.Tiler.array_shape)
-            exact_cover_limit);
-      acc
-    end
+    if output && not (Tiler.is_exact_cover spec) then
+      issue where
+        "output tiler on port %s is not an exact cover (single assignment \
+         violated)"
+        tiling.Model.inner_port
+      :: acc
+    else if (not output) && not (Tiler.covers_array spec) then
+      issue where "input tiler on port %s does not read the whole array"
+        tiling.Model.inner_port
+      :: acc
+    else acc
   with Invalid_argument m -> issue where "%s" m :: acc
 
-let rec check_task ~loc ~exact_cover_limit task =
-  let check = check_task ~loc ~exact_cover_limit in
+let rec check ?(loc = "model") task =
+  let check = check ~loc in
   let issue where fmt = issue loc where fmt in
   match task with
   | Model.Elementary { name; ip; inputs; outputs } ->
@@ -110,12 +92,12 @@ let rec check_task ~loc ~exact_cover_limit task =
       in
       let acc =
         List.fold_left
-          (fun acc t -> check_tiling ~loc ~exact_cover_limit task acc ~output:false t)
+          (fun acc t -> check_tiling ~loc task acc ~output:false t)
           acc in_tilings
       in
       let acc =
         List.fold_left
-          (fun acc t -> check_tiling ~loc ~exact_cover_limit task acc ~output:true t)
+          (fun acc t -> check_tiling ~loc task acc ~output:true t)
           acc out_tilings
       in
       ignore inputs;
@@ -195,17 +177,5 @@ let rec check_task ~loc ~exact_cover_limit task =
       in
       if topo [] (List.map fst parts) then acc
       else issue name "dependence cycle between parts" :: acc
-
-let check ?(loc = "model") ?(exact_cover_limit = default_exact_cover_limit)
-    task =
-  check_task ~loc ~exact_cover_limit task
-
-let check_exn task =
-  match check task with
-  | [] -> ()
-  | issues ->
-      invalid_arg
-        (String.concat "; "
-           (List.map (fun i -> i.where ^ ": " ^ i.what) issues))
 
 let pp_issue ppf i = Format.fprintf ppf "%s:%s: %s" i.loc i.where i.what

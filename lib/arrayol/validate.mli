@@ -12,14 +12,9 @@ type issue = { loc : string; where : string; what : string }
     so lint output lines share the [loc:where: what] shape with
     {!Sac.Check.pp_issue} and [Analysis.Finding.pp]. *)
 
-val check : ?loc:string -> ?exact_cover_limit:int -> Model.t -> issue list
+val check : ?loc:string -> Model.t -> issue list
 (** Empty list = valid model.  [loc] (default ["model"]) prefixes every
-    issue.  Exact-cover analysis is skipped for arrays larger than
-    [exact_cover_limit] elements (default [1_000_000]); the skip is
-    reported as an [Logs] info message on the ["analysis"] source
-    rather than silently. *)
-
-val check_exn : Model.t -> unit
-(** Raises [Invalid_argument] listing all issues. *)
+    issue.  Covers are decided at every array size by
+    {!Tiler.is_exact_cover} and {!Tiler.covers_array}. *)
 
 val pp_issue : Format.formatter -> issue -> unit

@@ -63,40 +63,22 @@ let () =
 (* Non-generic output tiler (Figure 7, generalised)                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A unit column: exactly one entry, equal to 1; returns its row. *)
-let unit_column m j =
-  let rows = Linalg.rows m in
-  let nz = ref [] in
-  for i = 0 to rows - 1 do
-    if m.(i).(j) <> 0 then nz := (i, m.(i).(j)) :: !nz
-  done;
-  match !nz with [ (i, 1) ] -> Some i | _ -> None
-
-(* Axis-aligned column: one positive entry; returns (row, stride). *)
-let axis_column m j =
-  let rows = Linalg.rows m in
-  let nz = ref [] in
-  for i = 0 to rows - 1 do
-    if m.(i).(j) <> 0 then nz := (i, m.(i).(j)) :: !nz
-  done;
-  match !nz with [ (i, s) ] when s > 0 -> Some (i, s) | _ -> None
-
 let nongeneric_output_tiler ~fname (spec : Tiler.spec) =
   let r = Shape.rank spec.Tiler.array_shape in
   let n = spec.Tiler.pattern_shape.(0) in
   let d =
-    match unit_column spec.Tiler.tiler.Tiler.fitting 0 with
-    | Some d -> d
-    | None -> fail "output fitting is not a unit vector"
+    match Linalg.column_nonzeros spec.Tiler.tiler.Tiler.fitting 0 with
+    | [ (d, 1) ] -> d
+    | _ -> fail "output fitting is not a unit vector"
   in
   (* Map each array dimension to its paving stride. *)
   let strides = Array.make r 0 in
   for j = 0 to Linalg.cols spec.Tiler.tiler.Tiler.paving - 1 do
-    match axis_column spec.Tiler.tiler.Tiler.paving j with
-    | Some (row, s) ->
+    match Linalg.column_nonzeros spec.Tiler.tiler.Tiler.paving j with
+    | [ (row, s) ] when s > 0 ->
         if strides.(row) <> 0 then fail "paving columns collide";
         strides.(row) <- s
-    | None -> fail "output paving is not axis-aligned"
+    | _ -> fail "output paving is not axis-aligned"
   done;
   if Array.exists (fun s -> s = 0) strides then
     fail "output paving does not cover every array dimension";

@@ -14,10 +14,10 @@
      with positive, radix-dominant strides (each stride exceeds the
      span of the finer ones, so decomposition is unique);
    - all producer branches share one outermost stride (C, N) with
-     C * N = len, and their inner address sets, enumerated as bitsets
-     over [0, C), partition [0, C) exactly — so every address of B is
-     written exactly once and the writing branch is recovered from
-     [addr mod C];
+     C * N = len, and their inner address sets partition [0, C)
+     exactly (pairwise disjoint by {!Ndarray.Linalg.meet}, C addresses
+     together) — so every address of B is written exactly once and the
+     writing branch is recovered from [addr mod C];
    - every consumer read address has one and the same residue mod C
      as a linear form in the consumer grid ids, so a single dispatch
      value selects the producer branch for all reads of a thread.
@@ -332,34 +332,17 @@ let branch_of ~stores_to (pk, grid) =
           |> fun br -> (outer_stride, counts.(outer_dim), br))
     stores
 
-(* Enumerate a branch's inner address set as a bitset over [0, c). *)
-let inner_bitset ~c br =
-  let bits = Bytes.make c '\000' in
-  let rec fill addr = function
-    | [] ->
-        if addr >= c then fail "inner address %d outside [0,%d)" addr c;
-        if Bytes.get bits addr <> '\000' then
-          fail "inner address %d written twice" addr;
-        Bytes.set bits addr '\001'
-    | (_, k, n) :: rest ->
-        for q = 0 to n - 1 do
-          fill (addr + (k * q)) rest
-        done
-  in
-  fill br.br_base br.br_inner;
-  bits
-
-let max_outer_stride = 65536
-
 (* Check the producer branches jointly write every address of
    [0, len) exactly once, with a common outermost stride (c, n);
-   return the branches sorted by descending inner population. *)
+   return the branches sorted by descending inner population.  A
+   branch's inner set is injective (radix-dominant strides) and inside
+   [0, c) (no spill), so the sets partition [0, c) when they are
+   pairwise disjoint and hold c addresses together. *)
 let partition ~len branches =
   match branches with
   | [] -> fail "no producer stores"
   | (c, n, _) :: _ ->
-      if c <= 0 || c > max_outer_stride then
-        fail "outer stride %d out of range" c;
+      if c <= 0 then fail "outer stride %d out of range" c;
       if c * n <> len then fail "outer stride %d * %d <> length %d" c n len;
       List.iter
         (fun (c', n', br) ->
@@ -373,21 +356,20 @@ let partition ~len branches =
             fail "branch spills over the outer stride")
         branches;
       let branches = List.map (fun (_, _, br) -> br) branches in
-      let sets = List.map (fun br -> (br, inner_bitset ~c br)) branches in
-      let seen = Bytes.make c '\000' in
-      List.iter
-        (fun (_, bits) ->
-          for i = 0 to c - 1 do
-            if Bytes.get bits i <> '\000' then begin
-              if Bytes.get seen i <> '\000' then
-                fail "branches overlap at residue %d" i;
-              Bytes.set seen i '\001'
-            end
-          done)
-        sets;
-      for i = 0 to c - 1 do
-        if Bytes.get seen i = '\000' then fail "residue %d never written" i
-      done;
+      let inner br = (br.br_base, List.map (fun (_, k, n) -> (k, n)) br.br_inner) in
+      let rec pairwise = function
+        | [] -> ()
+        | a :: rest ->
+            List.iter
+              (fun b ->
+                if Ndarray.Linalg.meet (inner a) (inner b) <> No_solution then
+                  fail "branches overlap")
+              rest;
+            pairwise rest
+      in
+      pairwise branches;
+      let events = List.fold_left (fun acc br -> acc + br.br_events) 0 branches in
+      if events <> c then fail "branches write %d of %d inner addresses" events c;
       let branches =
         List.sort (fun a b -> compare b.br_events a.br_events) branches
       in

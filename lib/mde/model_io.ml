@@ -169,11 +169,11 @@ let tiling_of rest =
       let origin = shape_of_rest (find_form "origin" details) in
       let fitting = matrix_of_rest (find_form "fitting" details) in
       let paving = matrix_of_rest (find_form "paving" details) in
-      {
-        Arrayol.Model.outer_port;
-        inner_port;
-        tiler = Tiler.make ~origin ~fitting ~paving;
-      }
+      let tiler =
+        try Tiler.make ~origin ~fitting ~paving
+        with Invalid_argument m -> fail "tiling %s: %s" inner_port m
+      in
+      { Arrayol.Model.outer_port; inner_port; tiler }
   | _ -> fail "malformed tiling"
 
 let endpoint_of = function
@@ -277,4 +277,6 @@ let load path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+    (fun () ->
+      try of_string (really_input_string ic (in_channel_length ic))
+      with Sexp.Parse_error m | Format_error m -> fail "%s: %s" path m)

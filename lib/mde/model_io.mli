@@ -12,13 +12,11 @@ val to_string : Marte.model -> string
 
 val of_string : string -> Marte.model
 (** Raises {!Format_error} (or {!Sexp.Parse_error}) on malformed
-    input.  The resulting application is re-validated by the
-    transformation chain, not here. *)
+    input, ragged tiler matrices included.  The resulting application
+    is re-validated by the transformation chain, not here. *)
 
 val save : string -> Marte.model -> unit
 
 val load : string -> Marte.model
-
-val task_to_sexp : Arrayol.Model.t -> Sexp.t
-
-val task_of_sexp : Sexp.t -> Arrayol.Model.t
+(** Reads and parses a model file.  Malformed contents raise
+    {!Format_error} with the message [path: what]. *)

@@ -63,16 +63,6 @@ let parse src =
     fail "trailing input at offset %d" c.pos;
   s
 
-let parse_many src =
-  let c = { src; pos = 0 } in
-  let out = ref [] in
-  skip_ws c;
-  while c.pos < String.length src do
-    out := parse_one c :: !out;
-    skip_ws c
-  done;
-  List.rev !out
-
 let rec fits_inline = function
   | Atom _ -> true
   | List items -> List.length items <= 6 && List.for_all is_small items

@@ -10,13 +10,8 @@ val parse : string -> t
     malformed input or trailing tokens.  Comments run from [;] to end
     of line. *)
 
-val parse_many : string -> t list
-
 val to_string : ?indent:int -> t -> string
 (** Pretty-printed with line breaks for nested lists. *)
-
-val atom : t -> string
-(** Raises {!Parse_error} when applied to a list. *)
 
 val int_atom : t -> int
 

@@ -35,6 +35,9 @@ val cat_cols : mat -> mat -> mat
 (** Horizontal concatenation [\[A | B\]]; the [CAT] builtin.  The paper
     computes index offsets as [CAT(paving, fitting) . (rep ++ pat)]. *)
 
+val column_nonzeros : mat -> int -> (int * int) list
+(** The nonzero entries [(row, value)] of column [j], top to bottom. *)
+
 val scale : int -> mat -> mat
 
 val add : mat -> mat -> mat
@@ -42,3 +45,22 @@ val add : mat -> mat -> mat
 val pp : Format.formatter -> mat -> unit
 
 val to_string : mat -> string
+
+(** {1 Bounded lattice search}
+
+    One exact decision procedure over box-bounded integer maps, behind
+    both tiler covers and kernel store-set disjointness.  Each question
+    has a fixed node budget; past it the answer is [Gave_up]. *)
+
+type search = Solution of int array | No_solution | Gave_up
+
+val meet : int * (int * int) list -> int * (int * int) list -> search
+(** [meet (b1, s1) (b2, s2)]: do the strided sets [b + sum c_i [0, n_i)],
+    one [(c_i, n_i)] per column, share a value?  A [Solution k] gives
+    the columns of [s1], then of [s2]. *)
+
+val injective : ?modulus:int -> (int * int) list -> search
+(** Is [k |-> sum c_i k_i] over [0 <= k_i < n_i] injective (modulo
+    [modulus] when positive) for the given [(c_i, n_i)]?  A [Solution d]
+    is a collision: [d <> 0], [|d_i| < n_i], [sum c_i d_i] a multiple of
+    the modulus (zero without one). *)

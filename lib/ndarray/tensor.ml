@@ -52,8 +52,6 @@ let get_wrapped t idx = get t (Index.wrap t.shape idx)
 
 let get_lin t i = t.data.(i)
 
-let set_lin t i v = t.data.(i) <- v
-
 let copy t = { t with data = Array.copy t.data }
 
 let map f t = { t with data = Array.map f t.data }

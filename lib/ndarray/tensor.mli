@@ -47,8 +47,6 @@ val get_wrapped : 'a t -> Index.t -> 'a
 
 val get_lin : 'a t -> int -> 'a
 
-val set_lin : 'a t -> int -> 'a -> unit
-
 val copy : 'a t -> 'a t
 
 val map : ('a -> 'b) -> 'a t -> 'b t

@@ -103,10 +103,6 @@ let count g =
   iter g (fun _ -> incr n);
   !n
 
-let is_dense g =
-  Array.for_all Fun.id
-    (Array.init (rank g) (fun d -> g.step.(d) = g.width.(d)))
-
 let dim_count_of g d =
   let n = ref 0 in
   let base = ref g.lb.(d) in

@@ -35,9 +35,6 @@ val iter : t -> (int array -> unit) -> unit
 
 val count : t -> int
 
-val is_dense : t -> bool
-(** Step = width everywhere (every in-bounds index is a member). *)
-
 val dim_counts : t -> int array
 (** Number of member positions along each dimension; the product equals
     {!count}. *)
@@ -54,8 +51,8 @@ val dim_map : t -> int -> dim_map option
     the closed-form mapping cannot express. *)
 
 val disjoint : t -> t -> bool
-(** No common member (decided by scanning the smaller space; spaces in
-    compiled programs are modest). *)
+(** No common member (decided by scanning every member of [a] against
+    [b]; spaces in compiled programs are modest). *)
 
 val equal : t -> t -> bool
 

@@ -260,8 +260,10 @@ let run_with ?(host_mode = `Execute) ?(liveness = false) ?plane_tag
             (List.sort_uniq compare writes));
       release_dead item_index)
     plan.Plan.items;
+  (* No copy: [vars] dies here, and each host tensor is an argument's
+     copy or freshly built. *)
   let result = ensure_host plan.Plan.result in
-  { result = Tensor.copy result; host_us = !host_us; kernel_launches = !launches }
+  { result; host_us = !host_us; kernel_launches = !launches }
 
 let cuda_ops rt =
   {

@@ -103,9 +103,63 @@ let coverage s =
           Tensor.set counts i (Tensor.get counts i + 1)));
   counts
 
-let is_exact_cover s = Tensor.fold (fun ok c -> ok && c = 1) true (coverage s)
+(* A tiler is separable when no paving or fitting column moves two
+   array axes: element axis j is then [o_j + sum c k mod s_j] over its
+   own (coeff, extent) columns.  An all-zero column joins axis 0 with
+   coefficient 0, where its repeats collide.  Raises [Exit] on other
+   or malformed specs, which {!coverage} decides by counting. *)
+let axis_columns s =
+  let ar = Shape.rank s.array_shape in
+  let axes = Array.make ar [] in
+  let add m shape =
+    if Linalg.rows m <> ar || Linalg.cols m <> Shape.rank shape
+       || not (Shape.is_valid shape)
+    then raise Exit;
+    Array.iteri
+      (fun col extent ->
+        match Linalg.column_nonzeros m col with
+        | [] -> axes.(0) <- (0, extent) :: axes.(0)
+        | [ (j, c) ] -> axes.(j) <- (c, extent) :: axes.(j)
+        | _ -> raise Exit)
+      shape
+  in
+  if Array.length s.tiler.origin <> ar || Array.exists (fun e -> e <= 0) s.array_shape
+  then raise Exit;
+  add s.tiler.paving s.repetition_shape;
+  add s.tiler.fitting s.pattern_shape;
+  Array.mapi (fun j cols -> (j, cols)) axes
 
-let covers_array s = Tensor.fold (fun ok c -> ok && c >= 1) true (coverage s)
+(* Per-axis decision of a separable spec; a non-separable one, or an
+   axis search that runs out of budget, falls back to requiring [count]
+   of every element's coverage. *)
+let decide s ~count per_axis =
+  try Array.for_all (fun (j, cols) -> per_axis j cols) (axis_columns s)
+  with Exit -> Tensor.fold (fun acc c -> acc && count c) true (coverage s)
+
+let decided = function
+  | Linalg.Solution _ -> true
+  | Linalg.No_solution -> false
+  | Linalg.Gave_up -> raise Exit
+
+let points s = Shape.size s.repetition_shape * Shape.size s.pattern_shape
+
+(* Exact cover: as many points as elements, and each axis injective
+   modulo its extent. *)
+let is_exact_cover s =
+  decide s ~count:(( = ) 1) (fun j cols ->
+      points s = Shape.size s.array_shape
+      && not (decided (Linalg.injective ~modulus:s.array_shape.(j) cols)))
+
+(* Read cover: every residue r of axis j is [o_j + sum c k + s_j w]
+   for some wrap [w]. *)
+let covers_array s =
+  decide s ~count:(( <= ) 1) (fun j cols ->
+      let m = s.array_shape.(j) and o = s.tiler.origin.(j) in
+      let w = (List.fold_left (fun acc (c, n) -> acc + (abs c * n)) (abs o) cols / m) + 1 in
+      points s > 0
+      && List.for_all
+           (fun r -> decided (Linalg.meet (o, cols) (r - (m * w), [ (m, (2 * w) + 1) ])))
+           (List.init m Fun.id))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>origin=%a@ fitting=%a@ paving=%a@]" Index.pp

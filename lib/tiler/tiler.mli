@@ -56,10 +56,6 @@ val elem_index : spec -> rep:Index.t -> pat:Index.t -> Index.t
 (** Array element addressed by pattern index [pat] of repetition [rep],
     wrapped modulo the array shape. *)
 
-val elem_index_unwrapped : spec -> rep:Index.t -> pat:Index.t -> Index.t
-(** Same, before the [mod s_array]; used by boundary analyses to detect
-    accesses that wrap. *)
-
 val wraps : spec -> rep:Index.t -> bool
 (** Whether any element of the pattern at [rep] wraps around an array
     edge.  Kernel generators use this to split boundary repetitions. *)
@@ -79,15 +75,18 @@ val scatter_all : 'a Tensor.t -> spec -> 'a Tensor.t -> unit
     [repetition ++ pattern] tensor into the array, in place. *)
 
 val coverage : spec -> int Tensor.t
-(** Multiplicity with which each array element is touched across the
-    whole repetition space. *)
+(** Multiplicity of each array element over the whole repetition space,
+    by counting; the reference for the two predicates below. *)
 
 val is_exact_cover : spec -> bool
 (** Every array element touched exactly once — required of output
-    tilers by ArrayOL's single-assignment rule. *)
+    tilers by ArrayOL's single-assignment rule.  Decided per array axis
+    ({!Ndarray.Linalg.injective} modulo its extent) when no paving or
+    fitting column moves two axes, else by {!coverage}. *)
 
 val covers_array : spec -> bool
-(** Every array element touched at least once. *)
+(** Every array element touched at least once; per axis, every residue
+    is reached ({!Ndarray.Linalg.meet}), else by {!coverage}. *)
 
 val pp : Format.formatter -> t -> unit
 

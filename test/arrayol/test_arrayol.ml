@@ -137,17 +137,6 @@ let test_validate_nonexact_output_tiler () =
          let rec go j = (j + nl <= hl) && (String.sub m j nl = needle || go (j + 1)) in
          go 0)
        (Arrayol.Validate.check bad));
-  (* Below the exact-cover budget the analysis is skipped (visibly, via
-     the analysis log source) instead of reported. *)
-  Alcotest.(check bool) "cover analysis skippable" false
-    (List.exists
-       (fun (i : Arrayol.Validate.issue) ->
-         let needle = "exact cover" in
-         let m = i.Arrayol.Validate.what in
-         let nl = String.length needle and hl = String.length m in
-         let rec go j = (j + nl <= hl) && (String.sub m j nl = needle || go (j + 1)) in
-         go 0)
-       (Arrayol.Validate.check ~exact_cover_limit:4 bad));
   (* Issues carry the caller's location in the shared file:where: what
      shape. *)
   (match Arrayol.Validate.check ~loc:"mean.aol" bad with
@@ -157,6 +146,29 @@ let test_validate_nonexact_output_tiler () =
         (let s = Format.asprintf "%a" Arrayol.Validate.pp_issue i in
          String.length s > 9 && String.sub s 0 9 = "mean.aol:")
   | [] -> Alcotest.fail "expected issues")
+
+(* Covers are decided at every size: the 1080x1920 frame of Figure 10
+   (2,073,600-element planes) is proved, and a horizontal input tiler
+   paving by 16 instead of 8 leaves columns unread. *)
+let test_validate_paper_scale () =
+  let frame = Arrayol.Downscaler_model.frame ~rows:1080 ~cols:1920 in
+  Alcotest.(check (list string)) "1080p frame validates clean" []
+    (List.map (fun i -> i.Arrayol.Validate.what) (Arrayol.Validate.check frame));
+  let pave16 = function
+    | Arrayol.Model.Repetitive ({ in_tilings = [ t ]; _ } as r) ->
+        let tiler = { t.Arrayol.Model.tiler with Tiler.paving = Linalg.of_lists [ [ 1; 0 ]; [ 0; 16 ] ] } in
+        Arrayol.Model.Repetitive { r with in_tilings = [ { t with tiler } ] }
+    | t -> t
+  in
+  let bad =
+    match frame with
+    | Arrayol.Model.Compound ({ parts = (inst, hf) :: rest; _ } as c) ->
+        Arrayol.Model.Compound { c with parts = (inst, pave16 hf) :: rest }
+    | _ -> Alcotest.fail "frame is a compound"
+  in
+  Alcotest.(check (list string)) "unread columns reported"
+    [ "input tiler on port pattern_in does not read the whole array" ]
+    (List.map (fun i -> i.Arrayol.Validate.what) (Arrayol.Validate.check bad))
 
 let test_validate_cycle () =
   let dummy name =
@@ -419,6 +431,8 @@ let () =
           Alcotest.test_case "non-exact output tiler" `Quick
             test_validate_nonexact_output_tiler;
           Alcotest.test_case "cycle" `Quick test_validate_cycle;
+          Alcotest.test_case "paper-scale frame" `Quick
+            test_validate_paper_scale;
         ] );
       ( "schedule",
         [

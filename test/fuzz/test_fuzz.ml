@@ -9,7 +9,9 @@
      3. the compiled plan executed on the simulated device;
      4. the same plan compiled without Figure 8 generator splitting;
 
-   and the printed program must re-parse to something equivalent. *)
+   and the printed program must re-parse to something equivalent.  The
+   static-cost and lattice groups compare closed-form analyses
+   (Kir.static_cost; Affine and Tiler covers) against enumeration. *)
 
 (* ------------------------------------------------------------------ *)
 (* Program generator                                                   *)
@@ -390,6 +392,103 @@ let prop_static_cost_matches_profile =
             QCheck.Test.fail_reportf "access class differs";
           st.Gpu.Kir.summary <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Lattice search vs enumeration                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Strided store sets and tilers are decided by the bounded lattice
+   search of Ndarray.Linalg; on small inputs both are checked against
+   counting every point. *)
+
+let values (s : Analysis.Affine.sset) =
+  List.fold_left
+    (fun acc (c, n) -> List.concat_map (fun v -> List.init n (fun k -> v + (c * k))) acc)
+    [ s.Analysis.Affine.base ] s.Analysis.Affine.strides
+
+let gen_sset =
+  QCheck.Gen.(
+    int_range (-12) 12 >>= fun base ->
+    list_size (int_range 0 3) (pair (int_range (-9) 9) (int_range 2 5)) >>= fun strides ->
+    bool >|= fun exact ->
+    let lo, hi =
+      List.fold_left
+        (fun (lo, hi) (c, n) ->
+          let a = c * (n - 1) in
+          (lo + min 0 a, hi + max 0 a))
+        (base, base) strides
+    in
+    {
+      Analysis.Affine.base;
+      strides;
+      events = List.fold_left (fun acc (_, n) -> acc * n) 1 strides;
+      exact;
+      lo;
+      hi;
+    })
+
+let arb_sset_pair =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Format.asprintf "%a | %a" Analysis.Affine.pp_sset a Analysis.Affine.pp_sset b)
+    QCheck.Gen.(pair gen_sset gen_sset)
+
+(* the verdict enumeration implies: Proved when no clash, otherwise
+   Refuted for exact sets and Unknown for inexact ones *)
+let expect ~clash ~exact (v : Analysis.Affine.verdict) =
+  match (v, clash) with
+  | Analysis.Affine.Proved, false -> true
+  | Analysis.Affine.Refuted _, true -> exact
+  | Analysis.Affine.Unknown, true -> not exact
+  | _ -> false
+
+let prop_affine_matches_enumeration =
+  QCheck.Test.make ~name:"Affine verdicts = enumeration" ~count:5000
+    arb_sset_pair (fun (a, b) ->
+      let va = values a and vb = values b in
+      let dup = List.length (List.sort_uniq compare va) < List.length va in
+      let clash = List.exists (fun v -> List.mem v vb) va in
+      let exact = a.Analysis.Affine.exact && b.Analysis.Affine.exact in
+      expect ~clash:dup ~exact:a.Analysis.Affine.exact
+        (Analysis.Affine.self_injective a)
+      &&
+      let v = Analysis.Affine.disjoint a b in
+      expect ~clash ~exact v
+      &&
+      match v with
+      | Analysis.Affine.Refuted why ->
+          Scanf.sscanf why "both write address %d" (fun addr ->
+              List.mem addr va && List.mem addr vb)
+      | _ -> true)
+
+(* Tilers of rank 0-2 with wrapping origins; separable ones give every
+   paving/fitting column one nonzero row, the others are unconstrained. *)
+let gen_spec =
+  QCheck.Gen.(
+    int_range 0 2 >>= fun ar ->
+    (if ar = 0 then return (0, 0) else pair (int_range 0 2) (int_range 0 2))
+    >>= fun (pr, rr) ->
+    let shape r lo = list_repeat r (int_range lo 4) >|= Array.of_list in
+    triple (shape ar 1) (shape pr 0) (shape rr 0) >>= fun (array_shape, pattern_shape, repetition_shape) ->
+    bool >>= fun separable ->
+    let column =
+      if separable then
+        pair (int_range 0 (max 0 (ar - 1))) (int_range (-3) 3) >|= fun (axis, c) ->
+        Array.init ar (fun j -> if j = axis then c else 0)
+      else list_repeat ar (int_range (-3) 3) >|= Array.of_list
+    in
+    let matrix cols = list_repeat cols column >|= fun cs -> Array.init ar (fun j -> Array.of_list (List.map (fun c -> c.(j)) cs)) in
+    triple (list_repeat ar (int_range (-5) 5)) (matrix pr) (matrix rr) >|= fun (origin, fitting, paving) ->
+    Tiler.spec ~origin:(Array.of_list origin) ~fitting ~paving ~array_shape ~pattern_shape
+      ~repetition_shape)
+
+let arb_spec = QCheck.make ~print:(Format.asprintf "%a" Tiler.pp_spec) gen_spec
+
+let prop_tiler_matches_coverage =
+  QCheck.Test.make ~name:"Tiler covers = coverage" ~count:5000 arb_spec (fun s ->
+      let counts = Tiler.coverage s in
+      Tiler.is_exact_cover s = Ndarray.Tensor.fold (fun ok c -> ok && c = 1) true counts
+      && Tiler.covers_array s = Ndarray.Tensor.fold (fun ok c -> ok && c >= 1) true counts)
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -405,4 +504,7 @@ let () =
       ( "static-cost",
         List.map QCheck_alcotest.to_alcotest
           [ prop_static_cost_matches_profile ] );
+      ( "lattice",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_affine_matches_enumeration; prop_tiler_matches_coverage ] );
     ]

@@ -269,6 +269,47 @@ let test_model_io_rejects_garbage () =
        false
      with Mde.Model_io.Format_error _ -> true)
 
+(* Malformed files fail with a Format_error naming the file and the
+   fault, not with an escaping parser or Tiler exception. *)
+let test_model_io_located_errors () =
+  let strip =
+    "(model strip (platform (gpu gpu0))\n\
+    \ (application (repetitive S (repetition 9 10)\n\
+    \  (ports (in in (9 80)) (out out (9 30)))\n\
+    \  (inner (elementary H (ip HorizontalReduction)\n\
+    \    (ports (in pattern_in (11)) (out pattern_out (3)))))\n\
+    \  (in-tiling in pattern_in (origin 0 0) (fitting (0) (1)) (paving (1 0) (0 8)))\n\
+    \  (out-tiling out pattern_out (origin 0 0) (fitting (0) (1)) (paving (1 0) (0 3))))))\n"
+  in
+  let replace ~sub ~by s =
+    let n = String.length sub in
+    let rec at i = if String.sub s i n = sub then i else at (i + 1) in
+    let i = at 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  let load_error text =
+    let path = Filename.temp_file "bad" ".aol" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        match Mde.Model_io.load path with
+        | _ -> Alcotest.fail "malformed model loaded"
+        | exception Mde.Model_io.Format_error m ->
+            let prefix = path ^ ": " in
+            let n = String.length prefix in
+            Alcotest.(check string) "located" prefix (String.sub m 0 n);
+            String.sub m n (String.length m - n))
+  in
+  ignore (Mde.Model_io.of_string strip);
+  Alcotest.(check string) "truncated" "unclosed parenthesis at offset 60"
+    (load_error (String.sub strip 0 60));
+  Alcotest.(check string) "no repetition" "missing (repetition ...) form"
+    (load_error (replace ~sub:"(repetition 9 10)" ~by:"" strip));
+  Alcotest.(check string) "ragged fitting"
+    "tiling pattern_in: Tiler.make: ragged matrix"
+    (load_error (replace ~sub:"(fitting (0) (1))" ~by:"(fitting (0) (1 2))" strip))
+
 (* ---------- Properties ---------- *)
 
 let prop_chain_matches_semantics =
@@ -319,6 +360,8 @@ let () =
           Alcotest.test_case "sexp parser" `Quick test_sexp_parser;
           Alcotest.test_case "roundtrip" `Quick test_model_io_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_model_io_file;
+          Alcotest.test_case "located load errors" `Quick
+            test_model_io_located_errors;
           Alcotest.test_case "rejects garbage" `Quick
             test_model_io_rejects_garbage;
         ] );
