@@ -28,15 +28,11 @@ type devsel = {
    recorded. *)
 let frame_via_sac rows cols =
   let src = Sac.Programs.downscaler ~generic:false ~rows ~cols in
-  let labels = ref [ "H. Filter"; "V. Filter" ] in
-  let label_of _ =
-    match !labels with
-    | l :: rest ->
-        labels := rest;
-        l
-    | [] -> "Kernel"
+  let plan, _ =
+    Sac_cuda.Compile.plan_of_source
+      ~label_of:(Sac.Programs.downscaler_labels ())
+      src ~entry:"main"
   in
-  let plan, _ = Sac_cuda.Compile.plan_of_source ~label_of src ~entry:"main" in
   fun ds frame ->
     let rt =
       Cuda.Runtime.init ~ordinal:ds.ds_ordinal ~topology:ds.ds_topology
@@ -55,18 +51,13 @@ let frame_via_sac rows cols =
 
 let frame_via_gaspard rows cols =
   let gen = Mde.Chain.transform_exn (Mde.Chain.downscaler_model ~rows ~cols) in
-  let label_of = function
-    | "HorizontalFilter" -> "H. Filter"
-    | "VerticalFilter" -> "V. Filter"
-    | other -> other
-  in
   fun ds frame ->
     let ctx =
       Opencl.Runtime.create_context ~ordinal:ds.ds_ordinal
         ~topology:ds.ds_topology ~device:ds.ds_device ()
     in
     let outs =
-      Mde.Chain.run ctx gen ~label_of
+      Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label
         ~liveness:(Optimizer.Mode.liveness (Optimizer.Mode.default ()))
         ~inputs:
           [

@@ -18,15 +18,11 @@ let () =
     Sac.Programs.downscaler ~generic:false ~rows:fmt.Video.Format.rows
       ~cols:fmt.Video.Format.cols
   in
-  let labels = ref [ "H. Filter"; "V. Filter" ] in
-  let label_of _ =
-    match !labels with
-    | l :: r ->
-        labels := r;
-        l
-    | [] -> "Kernel"
+  let plan, report =
+    Sac_cuda.Compile.plan_of_source
+      ~label_of:(Sac.Programs.downscaler_labels ())
+      src ~entry:"main"
   in
-  let plan, report = Sac_cuda.Compile.plan_of_source ~label_of src ~entry:"main" in
   Printf.printf
     "\nSAC route: WLF performed %d folds; backend created %d kernels\n"
     report.Sac.Pipeline.wlf_rounds
@@ -54,10 +50,7 @@ let () =
   let ctx = Opencl.Runtime.create_context () in
   let outs =
     Mde.Chain.run ctx gen
-      ~label_of:(function
-        | "HorizontalFilter" -> "H. Filter"
-        | "VerticalFilter" -> "V. Filter"
-        | other -> other)
+      ~label_of:Mde.Chain.downscaler_label
       ~inputs:
         [
           ("r_in", Video.Frame.plane frame Video.Frame.R);

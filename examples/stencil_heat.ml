@@ -1,8 +1,9 @@
 (* Iterative 5-point heat diffusion in SAC: a classic HPC stencil.
    Each step is one compiled kernel launch; the boundary is preserved
    by the WITH-loop's modarray operation (uncovered indices copy the
-   source), which on the device shows up as the base-array upload the
-   plan performs for partially covering generators.
+   source).  On the device that is a second upload of the grid, into
+   the output buffer before the kernel runs, which the emitted host
+   program prints too: two host-to-device copies per step.
 
    Run with: dune exec examples/stencil_heat.exe *)
 

@@ -23,10 +23,6 @@ let top = { lo = -inf; hi = inf }
 
 let range_excl lo hi = if lo >= hi then of_int lo else make lo (hi - 1)
 
-let is_bottom_free = ()  (* intervals here are never empty *)
-
-let _ = is_bottom_free
-
 let is_const i = i.lo = i.hi
 
 let const_value i = if is_const i then Some i.lo else None

@@ -1,7 +1,8 @@
 (* Residency/transfer dataflow over a linearised plan.
 
-   The execution engine (Sac_cuda.Exec) keeps each array host- and/or
-   device-resident and inserts transfers implicitly: kernel launches
+   The SAC host walk (Sac_cuda.Host_walk, printed by the emitters and
+   run by Sac_cuda.Exec) keeps each array host- and/or device-resident
+   and inserts transfers implicitly: kernel launches
    force inputs to the device, host blocks copy back only the arrays
    they *declare* as reads.  This pass replays that discipline
    abstractly over a pipeline-neutral item language and flags

@@ -1,8 +1,9 @@
 (** Residency/transfer dataflow checker over a linearised plan.
 
     The item language is pipeline-neutral; [Sac_cuda.Verify] lowers
-    [Sac_cuda.Plan.t] onto it.  The pass replays the execution
-    engine's implicit-transfer discipline (launches force inputs to
+    [Sac_cuda.Plan.t] onto it.  The pass replays the implicit-transfer
+    discipline of the SAC host walk ([Sac_cuda.Host_walk], which both
+    the emitters print and the executor runs: launches force inputs to
     the device, host blocks copy back only their *declared* reads) and
     reports:
     - [Undefined_use] (error): an item reads a name no earlier item

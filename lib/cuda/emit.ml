@@ -88,7 +88,7 @@ let program ~name ~kernels ~steps =
     (fun step ->
       match step with
       | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | C_print.Alloc { dst; len } ->
+      | C_print.Alloc { dst; len; _ } ->
           Printf.bprintf buf "    int *%s;\n" dst;
           Printf.bprintf buf
             "    cudaMalloc((void **)&%s, %d * sizeof(int));\n" dst len
@@ -102,9 +102,12 @@ let program ~name ~kernels ~steps =
             "    cudaMemcpyAsync(%s, %s, %d * sizeof(int), \
              cudaMemcpyDeviceToHost);\n"
             dst src len
-      | C_print.Launch { kernel; grid; args } ->
+      | C_print.Fill { dst; value; len } ->
+          Printf.bprintf buf "    cuMemsetD32((CUdeviceptr)%s, %d, %d);\n" dst
+            value len
+      | C_print.Launch { kernel; grid; args; _ } ->
           launch_text buf kernel grid args
-      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Route { code; _ } -> Printf.bprintf buf "%s\n" code
       | C_print.Free { name } -> Printf.bprintf buf "    cudaFree(%s);\n" name)
     steps;
   Printf.bprintf buf "    cudaDeviceSynchronize();\n    return 0;\n}\n";

@@ -21,7 +21,7 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val program :
   name:string ->
   kernels:(Gpu.Kir.t * Ndarray.Shape.t) list ->
-  steps:Gpu.C_print.host_step list ->
+  steps:_ Gpu.C_print.host_step list ->
   string
 (** A full [.cu] translation unit: kernels followed by a [main] that
     performs [steps] with CUDA runtime calls.  Launches use 256-thread

@@ -9,8 +9,6 @@ let context t = t.ctx
 
 let malloc t ~name n = Gpu.Context.alloc t.ctx ~name n
 
-let mem_free t p = Gpu.Context.free t.ctx p
-
 let memcpy_h2d ?label t ~dst ~src = Gpu.Context.h2d ?label t.ctx dst src
 
 let memcpy_d2h ?label t ~dst ~src = Gpu.Context.d2h ?label t.ctx src dst

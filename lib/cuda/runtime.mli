@@ -27,8 +27,6 @@ val context : t -> Gpu.Context.t
 val malloc : t -> name:string -> int -> devptr
 (** [malloc t ~name n] allocates [n] ints of device memory. *)
 
-val mem_free : t -> devptr -> unit
-
 val memcpy_h2d : ?label:string -> t -> dst:devptr -> src:int array -> unit
 
 val memcpy_d2h : ?label:string -> t -> dst:int array -> src:devptr -> unit

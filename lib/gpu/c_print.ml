@@ -102,17 +102,20 @@ let kernels d buf ks =
       Stdlib.Buffer.add_char buf '\n')
     ks
 
-type host_step =
+type 'r host_step =
   | Comment of string
-  | Alloc of { dst : string; len : int }
+  | Alloc of { dst : string; name : string; len : int }
   | Upload of { dst : string; src : string; len : int }
   | Download of { dst : string; src : string; len : int }
+  | Fill of { dst : string; value : int; len : int }
   | Launch of {
       kernel : Kir.t;
       grid : Ndarray.Shape.t;
       args : (string * string) list;
+      label : string;
+      split : int;
     }
-  | Host_code of string
+  | Route of { code : string; payload : 'r }
   | Free of { name : string }
 
 let actuals d (k : Kir.t) args =

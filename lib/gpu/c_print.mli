@@ -29,21 +29,33 @@ val kernels :
   dialect -> Stdlib.Buffer.t -> (Kir.t * Ndarray.Shape.t) list -> unit
 (** Appends every kernel, each followed by a blank line. *)
 
-(** Host-side steps of a generated program, in order; each emitter
-    renders them with its own runtime API. *)
-type host_step =
+(** Host-side steps of a generated program, in order.  Each emitter
+    renders them with its own runtime API, and {!Host_run} executes the
+    same list on a simulated device, so the printed host program is the
+    one the simulator measures.  ['r] is the payload of the route's own
+    host work (the SAC route's host blocks, constant arrays and copies);
+    a route without such work leaves it polymorphic. *)
+type 'r host_step =
   | Comment of string
-  | Alloc of { dst : string; len : int }  (** device buffer of [len] ints *)
+  | Alloc of { dst : string; name : string; len : int }
+      (** device buffer [dst] of [len] ints; [name] is the simulator's
+          buffer name, which event details report *)
   | Upload of { dst : string; src : string; len : int }
       (** host [src] -> device [dst] *)
   | Download of { dst : string; src : string; len : int }
       (** device [src] -> host [dst] *)
+  | Fill of { dst : string; value : int; len : int }
+      (** set every int of device buffer [dst] to [value] *)
   | Launch of {
       kernel : Kir.t;
       grid : Ndarray.Shape.t;
       args : (string * string) list;  (** formal name -> host identifier *)
+      label : string;  (** profiling group of the launch *)
+      split : int;  (** kernels the originating task was divided into *)
     }
-  | Host_code of string  (** verbatim host C (e.g. a host-side tiler loop) *)
+  | Route of { code : string; payload : 'r }
+      (** route-specific host work: printed as the verbatim host C
+          [code], executed by handing [payload] to the route *)
   | Free of { name : string }
 
 val actuals :

@@ -117,6 +117,11 @@ let run ?label_of ?liveness ctx gen ~inputs =
   Obs.Tracer.with_span ~cat:"mde" "mde.run" @@ fun () ->
   Exec.run ?label_of ?liveness ctx gen ~inputs
 
+let downscaler_label = function
+  | "HorizontalFilter" -> "H. Filter"
+  | "VerticalFilter" -> "V. Filter"
+  | other -> other
+
 let downscaler_model ~rows ~cols =
   Marte.allocate_data_parallel
     (Marte.make ~name:"downscaler"

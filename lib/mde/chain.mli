@@ -40,3 +40,9 @@ val run :
 
 val downscaler_model : rows:int -> cols:int -> Marte.model
 (** The paper's frame-level downscaler, allocated data-parallel. *)
+
+val downscaler_label : string -> string
+(** The [label_of] for running {!downscaler_model}: the profiling
+    labels of the paper's tables (["HorizontalFilter"] ->
+    ["H. Filter"], ["VerticalFilter"] -> ["V. Filter"]); other task
+    names pass through. *)

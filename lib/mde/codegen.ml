@@ -182,102 +182,142 @@ let kernel_of_repetitive ~instance task =
       }
   | _ -> fail "%s: not a repetitive task" instance
 
+(* The host program: boundary inputs uploaded, kernels launched level
+   by level in schedule order, boundary outputs read back.  With
+   [liveness], each buffer is freed after the last level that reads it
+   (or, unread, after the level that produced it); boundary outputs
+   stay live for the read-back. *)
+let host_steps ?(liveness = false) (g : generated) =
+  let buf_of inst port = "d_" ^ sanitize inst ^ "_" ^ sanitize port in
+  let source_buffer target =
+    match
+      List.find_opt
+        (fun (c : Arrayol.Model.connection) -> c.Arrayol.Model.cto = target)
+        g.connections
+    with
+    | Some { Arrayol.Model.cfrom = Arrayol.Model.Boundary p; _ } ->
+        Some ("d_in_" ^ sanitize p)
+    | Some { Arrayol.Model.cfrom = Arrayol.Model.Part (inst, p); _ } ->
+        Some (buf_of inst p)
+    | None -> None
+  in
+  let level_tasks level =
+    List.filter_map
+      (fun inst -> List.find_opt (fun kt -> kt.instance = inst) g.kernel_tasks)
+      level
+  in
+  let last_level : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun li level ->
+      List.iter
+        (fun kt ->
+          List.iter
+            (fun (port, _) ->
+              Option.iter
+                (fun b -> Hashtbl.replace last_level b li)
+                (source_buffer (Arrayol.Model.Part (kt.instance, port))))
+            kt.input_ports)
+        (level_tasks level))
+    g.levels;
+  List.iter
+    (fun (p : Arrayol.Model.port) ->
+      Option.iter
+        (fun b -> Hashtbl.replace last_level b max_int)
+        (source_buffer (Arrayol.Model.Boundary p.Arrayol.Model.pname)))
+    g.boundary_outputs;
+  let live = ref [] in
+  let alloc dst name len =
+    live := dst :: !live;
+    C_print.Alloc { dst; name; len }
+  in
+  let input_steps =
+    List.concat_map
+      (fun (p : Arrayol.Model.port) ->
+        let len = Shape.size p.Arrayol.Model.pshape in
+        let dst = "d_in_" ^ sanitize p.Arrayol.Model.pname in
+        [
+          alloc dst p.Arrayol.Model.pname len;
+          C_print.Upload
+            { dst; src = "h_" ^ sanitize p.Arrayol.Model.pname; len };
+        ])
+      g.boundary_inputs
+  in
+  let free_dead li =
+    if not liveness then []
+    else begin
+      let dead, kept =
+        List.partition
+          (fun b ->
+            match Hashtbl.find_opt last_level b with
+            | Some l -> l <= li
+            | None -> true)
+          !live
+      in
+      live := kept;
+      List.rev_map (fun name -> C_print.Free { name }) dead
+    end
+  in
+  let task_steps kt =
+    let outs =
+      List.map
+        (fun (port, shape) ->
+          alloc (buf_of kt.instance port)
+            (kt.instance ^ "." ^ port)
+            (Shape.size shape))
+        kt.output_ports
+    in
+    let args =
+      List.map
+        (fun (port, _) ->
+          ( sanitize port,
+            Option.value ~default:"d_unbound"
+              (source_buffer (Arrayol.Model.Part (kt.instance, port))) ))
+        kt.input_ports
+      @ List.map
+          (fun (port, _) -> (sanitize port, buf_of kt.instance port))
+          kt.output_ports
+    in
+    outs
+    @ [
+        C_print.Launch
+          { kernel = kt.kernel; grid = kt.grid; args; label = kt.task_name; split = 1 };
+      ]
+  in
+  let kernel_steps =
+    List.concat
+      (List.mapi
+         (fun li level ->
+           (* Bound first: the frees must see this level's allocations. *)
+           let launches = List.concat_map task_steps (level_tasks level) in
+           launches @ free_dead li)
+         g.levels)
+  in
+  let output_steps =
+    List.filter_map
+      (fun (p : Arrayol.Model.port) ->
+        Option.map
+          (fun src ->
+            C_print.Download
+              {
+                dst = "h_" ^ sanitize p.Arrayol.Model.pname;
+                src;
+                len = Shape.size p.Arrayol.Model.pshape;
+              })
+          (source_buffer (Arrayol.Model.Boundary p.Arrayol.Model.pname)))
+      g.boundary_outputs
+  in
+  input_steps @ kernel_steps @ output_steps
+
 (* Model-to-text on an already-assembled task set: recomputed whenever
    a pass (kernel fusion) rewrites [kernel_tasks] or [connections]. *)
 let render (g : generated) =
   let name = sanitize g.model_name in
-  let kernel_tasks = g.kernel_tasks in
-  let connections = g.connections in
-  let cl_source =
-    Opencl.Emit.cl_file ~name
-      (List.map (fun kt -> (kt.kernel, kt.grid)) kernel_tasks)
-  in
-  let host_steps =
-    let buf_of inst port = "d_" ^ sanitize inst ^ "_" ^ sanitize port in
-    let source_buffer ep =
-      match ep with
-      | Arrayol.Model.Boundary p -> "d_in_" ^ sanitize p
-      | Arrayol.Model.Part (inst, p) -> buf_of inst p
-    in
-    let input_steps =
-      List.concat_map
-        (fun (p : Arrayol.Model.port) ->
-          let len = Shape.size p.Arrayol.Model.pshape in
-          let name = "d_in_" ^ sanitize p.Arrayol.Model.pname in
-          [
-            C_print.Alloc { dst = name; len };
-            C_print.Upload
-              { dst = name; src = "h_" ^ sanitize p.Arrayol.Model.pname; len };
-          ])
-        g.boundary_inputs
-    in
-    let kernel_steps =
-      List.concat_map
-        (fun inst ->
-          match List.find_opt (fun kt -> kt.instance = inst) kernel_tasks with
-          | None -> []
-          | Some kt ->
-              let outs =
-                List.map
-                  (fun (port, shape) ->
-                    C_print.Alloc
-                      { dst = buf_of inst port; len = Shape.size shape })
-                  kt.output_ports
-              in
-              let args =
-                List.map
-                  (fun (port, _) ->
-                    let src =
-                      match
-                        List.find_opt
-                          (fun (c : Arrayol.Model.connection) ->
-                            c.Arrayol.Model.cto
-                            = Arrayol.Model.Part (inst, port))
-                          connections
-                      with
-                      | Some c -> source_buffer c.Arrayol.Model.cfrom
-                      | None -> "d_unbound"
-                    in
-                    (sanitize port, src))
-                  kt.input_ports
-                @ List.map
-                    (fun (port, _) -> (sanitize port, buf_of inst port))
-                    kt.output_ports
-              in
-              outs
-              @ [
-                  C_print.Launch
-                    { kernel = kt.kernel; grid = kt.grid; args };
-                ])
-        (List.concat g.levels)
-    in
-    let output_steps =
-      List.filter_map
-        (fun (p : Arrayol.Model.port) ->
-          match
-            List.find_opt
-              (fun (c : Arrayol.Model.connection) ->
-                c.Arrayol.Model.cto
-                = Arrayol.Model.Boundary p.Arrayol.Model.pname)
-              connections
-          with
-          | Some c ->
-              Some
-                (C_print.Download
-                   {
-                     dst = "h_" ^ sanitize p.Arrayol.Model.pname;
-                     src = source_buffer c.Arrayol.Model.cfrom;
-                     len = Shape.size p.Arrayol.Model.pshape;
-                   })
-          | None -> None)
-        g.boundary_outputs
-    in
-    input_steps @ kernel_steps @ output_steps
-  in
   {
     g with
-    cl_source;
-    host_source = Opencl.Emit.host_program ~name ~steps:host_steps;
+    cl_source =
+      Opencl.Emit.cl_file ~name
+        (List.map (fun kt -> (kt.kernel, kt.grid)) g.kernel_tasks);
+    host_source = Opencl.Emit.host_program ~name ~steps:(host_steps g);
     makefile = Opencl.Emit.makefile ~name;
   }
 

@@ -38,6 +38,15 @@ val kernel_of_repetitive :
 (** Raises {!Codegen_error} when the task is not repetitive, has a
     non-rank-1 pattern, or its IP has no registered fragment. *)
 
+val host_steps : ?liveness:bool -> generated -> _ Gpu.C_print.host_step list
+(** The host program: boundary inputs uploaded, each kernel's output
+    buffers allocated and the kernel launched, level by level in
+    schedule order, boundary outputs read back.  A launch's label is
+    its task name.  [liveness] (default [false]) frees each buffer
+    after the last level that reads it; boundary outputs stay live for
+    the read-back.  {!render} prints these steps and {!Exec.run}
+    executes them. *)
+
 val render : generated -> generated
 (** Recompute [cl_source], [host_source] and [makefile] from the task
     set; used after a pass ({!Fuse_chain}) rewrites [kernel_tasks],

@@ -1,6 +1,7 @@
-(** Execution of a generated Gaspard2 program: the one level walk
-    behind {!Chain.run} and {!Autotune.modelled_us} (the Gaspard2
-    counterpart of [Sac_cuda.Exec]). *)
+(** Execution of a generated Gaspard2 program: the host program
+    {!Codegen.host_steps} prints, run on the simulated device through
+    {!Gpu.Host_run} (the Gaspard2 counterpart of [Sac_cuda.Exec]).
+    Behind {!Chain.run} and {!Autotune.modelled_us}. *)
 
 exception Run_error of string
 

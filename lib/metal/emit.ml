@@ -67,7 +67,7 @@ let host_program ~name ~steps =
     (fun step ->
       match step with
       | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | C_print.Alloc { dst; len } ->
+      | C_print.Alloc { dst; len; _ } ->
           Printf.bprintf buf
             "    MTL::Buffer *%s = device->newBuffer(%d * sizeof(int), \
              MTL::ResourceStorageModeShared);\n"
@@ -78,7 +78,11 @@ let host_program ~name ~steps =
       | C_print.Download { dst; src; len } ->
           Printf.bprintf buf
             "    memcpy(%s, %s->contents(), %d * sizeof(int));\n" dst src len
-      | C_print.Launch { kernel; grid; args } ->
+      | C_print.Fill { dst; value; len } ->
+          Printf.bprintf buf
+            "    for (int i = 0; i < %d; i++) ((int *)%s->contents())[i] = %d;\n"
+            len dst value
+      | C_print.Launch { kernel; grid; args; _ } ->
           incr kernel_no;
           let n = !kernel_no in
           Printf.bprintf buf
@@ -108,7 +112,7 @@ let host_program ~name ~steps =
             \    cb%d->commit();\n\
             \    cb%d->waitUntilCompleted();\n"
             n (Ndarray.Shape.size grid) n n n
-      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Route { code; _ } -> Printf.bprintf buf "%s\n" code
       | C_print.Free { name } -> Printf.bprintf buf "    %s->release();\n" name)
     steps;
   Stdlib.Buffer.add_string buf "    return 0;\n}\n";

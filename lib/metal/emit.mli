@@ -17,7 +17,7 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val metal_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** A [.metal] translation unit containing all given kernels. *)
 
-val host_program : name:string -> steps:Gpu.C_print.host_step list -> string
+val host_program : name:string -> steps:_ Gpu.C_print.host_step list -> string
 (** A metal-cpp host [main] executing the steps in order: shared-mode
     buffers, [memcpy] blits through [contents()], one command buffer
     per dispatch with [setBuffer]/[setBytes] bindings in parameter

@@ -1,42 +1,14 @@
-(* Metal-flavoured runtime over the GPU simulator: the device /
-   command-queue / pipeline-state surface generated host code targets,
-   backed by the same simulated Gpu.Context as the CUDA and OpenCL
-   facades so all three backends run on identical modelled hardware. *)
+(* Metal-flavoured device over the GPU simulator, backed by the same
+   simulated Gpu.Context as the CUDA and OpenCL facades so all three
+   backends run on identical modelled hardware. *)
 
 type device = { spec : Gpu.Device.t; ctx : Gpu.Context.t }
-
-type command_queue = { cq_ctx : Gpu.Context.t }
-
-type buffer = Gpu.Buffer.t
-
-type pipeline_state = { kir : Gpu.Kir.t }
 
 let create_system_default_device ?mode ?ordinal ?topology
     ?(device = Gpu.Device.gtx480) () =
   { spec = device; ctx = Gpu.Context.create ?mode ?ordinal ?topology device }
 
 let device_spec d = d.spec
-
-let new_command_queue d = { cq_ctx = d.ctx }
-
-let new_buffer d ~name len = Gpu.Context.alloc d.ctx ~name len
-
-let release_buffer d buf = Gpu.Context.free d.ctx buf
-
-let new_compute_pipeline_state _d kir =
-  match Gpu.Kir.validate kir with
-  | Ok () -> Ok { kir }
-  | Error m ->
-      Error
-        (Printf.sprintf "%s.metal: error in kernel %s: %s" kir.Gpu.Kir.kname
-           kir.Gpu.Kir.kname m)
-
-let blit_to_device ?label q buf src = Gpu.Context.h2d ?label q.cq_ctx buf src
-
-let blit_from_device ?label q buf dst = Gpu.Context.d2h ?label q.cq_ctx buf dst
-
-let dispatch_threads ?label ?split q p ~grid ~args =
-  Gpu.Context.launch ?label ?split q.cq_ctx p.kir ~grid ~args
 
 let gpu_context d = d.ctx
 

@@ -1,17 +1,11 @@
-(** Metal-flavoured runtime over the GPU simulator.
+(** Metal-flavoured device over the GPU simulator.
 
-    The device / command-queue / compute-pipeline-state surface the
-    generated metal-cpp host code targets, backed by the same
-    simulated {!Gpu.Context} as the CUDA and OpenCL facades so all
-    three backends are compared on identical modelled hardware. *)
+    The [MTLDevice] the generated metal-cpp host code targets, backed
+    by the same simulated {!Gpu.Context} as the CUDA and OpenCL facades
+    so all three backends are compared on identical modelled hardware.
+    Compiled plans run on its context ([Sac_metal.Backend.run]). *)
 
 type device
-
-type command_queue
-
-type buffer = Gpu.Buffer.t
-
-type pipeline_state
 
 val create_system_default_device :
   ?mode:Gpu.Context.exec_mode ->
@@ -24,33 +18,6 @@ val create_system_default_device :
     the other runtime facades. *)
 
 val device_spec : device -> Gpu.Device.t
-
-val new_command_queue : device -> command_queue
-
-val new_buffer : device -> name:string -> int -> buffer
-(** [n] ints of device memory ([MTLDevice newBufferWithLength]). *)
-
-val release_buffer : device -> buffer -> unit
-
-val new_compute_pipeline_state :
-  device -> Gpu.Kir.t -> (pipeline_state, string) result
-(** Validates the kernel IR ({!Gpu.Kir.validate}); the error string
-    mimics a shader-compiler diagnostic. *)
-
-val blit_to_device : ?label:string -> command_queue -> buffer -> int array -> unit
-
-val blit_from_device :
-  ?label:string -> command_queue -> buffer -> int array -> unit
-
-val dispatch_threads :
-  ?label:string ->
-  ?split:int ->
-  command_queue ->
-  pipeline_state ->
-  grid:Ndarray.Shape.t ->
-  args:(string * Gpu.Kir.arg) list ->
-  unit
-(** [dispatchThreads] over an n-dimensional grid. *)
 
 val gpu_context : device -> Gpu.Context.t
 

@@ -56,7 +56,7 @@ let host_program ~name ~steps =
     (fun step ->
       match step with
       | C_print.Comment c -> Printf.bprintf buf "    /* %s */\n" c
-      | C_print.Alloc { dst; len } ->
+      | C_print.Alloc { dst; len; _ } ->
           Printf.bprintf buf
             "    cl_mem %s = clCreateBuffer(context, CL_MEM_READ_WRITE, %d * \
              sizeof(int), NULL, NULL);\n"
@@ -71,7 +71,13 @@ let host_program ~name ~steps =
             "    clEnqueueReadBuffer(queue, %s, CL_TRUE, 0, %d * \
              sizeof(int), %s, 0, NULL, NULL);\n"
             src len dst
-      | C_print.Launch { kernel; grid; args } ->
+      | C_print.Fill { dst; value; len } ->
+          Printf.bprintf buf
+            "    { cl_int v = %d;\n\
+            \      clEnqueueFillBuffer(queue, %s, &v, sizeof(int), 0, %d * \
+             sizeof(int), 0, NULL, NULL); }\n"
+            value dst len
+      | C_print.Launch { kernel; grid; args; _ } ->
           incr kernel_no;
           let kv = Printf.sprintf "k%d" !kernel_no in
           Printf.bprintf buf
@@ -89,7 +95,7 @@ let host_program ~name ~steps =
             \      clEnqueueNDRangeKernel(queue, %s, 1, NULL, &gws, NULL, 0, \
              NULL, NULL); }\n"
             (Ndarray.Shape.size grid) kv
-      | C_print.Host_code c -> Printf.bprintf buf "%s\n" c
+      | C_print.Route { code; _ } -> Printf.bprintf buf "%s\n" code
       | C_print.Free { name } ->
           Printf.bprintf buf "    clReleaseMemObject(%s);\n" name)
     steps;

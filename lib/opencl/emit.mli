@@ -14,7 +14,7 @@ val kernel : grid:Ndarray.Shape.t -> Gpu.Kir.t -> string
 val cl_file : name:string -> (Gpu.Kir.t * Ndarray.Shape.t) list -> string
 (** The [.cl] translation unit containing every kernel. *)
 
-val host_program : name:string -> steps:Gpu.C_print.host_step list -> string
+val host_program : name:string -> steps:_ Gpu.C_print.host_step list -> string
 (** The generated [.cpp]: platform/context/queue boilerplate, program
     build from the [.cl] file, then [steps].  Raises [Invalid_argument]
     when a launch lacks an actual for a kernel formal. *)

@@ -36,8 +36,6 @@ let create_command_queue c = { cq_ctx = c.ctx }
 
 let create_buffer c ~name n = Gpu.Context.alloc c.ctx ~name n
 
-let release_mem_object c m = Gpu.Context.free c.ctx m
-
 let create_program_with_source _c ~name kernels = { prog_name = name; kernels }
 
 let build_program p =

@@ -42,8 +42,6 @@ val create_buffer : context -> name:string -> int -> mem
 (** [create_buffer ctx ~name n]: [n] ints of device memory
     ([clCreateBuffer]). *)
 
-val release_mem_object : context -> mem -> unit
-
 val create_program_with_source : context -> name:string -> Gpu.Kir.t list -> program
 (** In the simulator, "source" is kernel IR; [clBuildProgram] checks it
     statically. *)

@@ -225,6 +225,17 @@ int[%d,%d] main(int[%d,%d] frame)
       out_rows cols rows cols
       (v_body ~generic ~rows ~cols ~frame:"frame" ~name:"result")
 
+let downscaler_labels () =
+  (* The first two device loops of the plan are the two filters; any
+     further kernels keep their generated names. *)
+  let labels = ref [ "H. Filter"; "V. Filter" ] in
+  fun _ ->
+    match !labels with
+    | l :: rest ->
+        labels := rest;
+        l
+    | [] -> "Kernel"
+
 let downscaler ~generic ~rows ~cols =
   check_h ~cols;
   check_v ~rows;

@@ -41,3 +41,8 @@ val vertical : generic:bool -> rows:int -> cols:int -> string
 val downscaler : generic:bool -> rows:int -> cols:int -> string
 (** Both filters chained: [main] maps [rows x cols] to
     [(rows/9*4) x (cols/8*3)]. *)
+
+val downscaler_labels : unit -> string -> string
+(** A fresh [label_of] for compiling {!downscaler}: the profiling
+    labels of the paper's tables, ["H. Filter"] then ["V. Filter"] for
+    the first two device loops, ["Kernel"] after. *)

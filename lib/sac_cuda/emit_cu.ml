@@ -1,6 +1,5 @@
-(* Render a host block as plain C (the for-loop tilers of the generic
-   variant; vector operations are printed as comments since the host
-   compiler of the real system handles them natively). *)
+(* A host block prints as its SAC source in comments: the host
+   compiler of the real system compiles it natively. *)
 let host_block_code stmts =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "    /* host-resident SAC code (not a CUDA-WITH-loop) */\n";
@@ -10,7 +9,7 @@ let host_block_code stmts =
       String.split_on_char '\n' text
       |> List.iter (fun line -> Buffer.add_string buf ("    // " ^ line ^ "\n")))
     stmts;
-  Gpu.C_print.Host_code (Buffer.contents buf)
+  Buffer.contents buf
 
 let source ~name (plan : Plan.t) =
   let w =

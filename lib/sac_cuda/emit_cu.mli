@@ -2,8 +2,9 @@
 
     Produces the [.cu] translation unit a user of the real SAC compiler
     would inspect: one [__global__] kernel per generator and a host
-    [main] with [cudaMalloc] / [cudaMemcpyAsync] / launch sequences
-    derived from the same residency rules as {!Exec}.  Host blocks
-    appear as portable C loop nests in the host program. *)
+    [main] that performs the {!Host_walk} steps {!Exec} runs, with
+    [cudaMalloc] / [cudaMemcpyAsync] / launch sequences, and frees the
+    with-loop buffers still live at the end.  Host blocks appear as
+    their SAC source in comments. *)
 
 val source : name:string -> Plan.t -> string

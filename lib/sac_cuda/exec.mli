@@ -1,11 +1,11 @@
 (** Simulated execution of compiled plans.
 
-    Runs a {!Plan.t} against the CUDA runtime facade: host/device
-    residency is tracked per variable, and the [host2device] /
-    [device2host] transfers of Section VII materialise exactly when a
-    kernel needs a host-resident array or a host block (or the final
-    result) needs a device-resident one.  Host blocks run through the
-    SAC interpreter and are charged to the host CPU model. *)
+    Runs the host program {!Host_walk.of_plan} derives (the one the
+    emitters print) through {!Gpu.Host_run}: uploads, downloads,
+    allocations and kernel launches land on the device's timeline, and
+    the plan's host work (host blocks, constant arrays, copies) runs
+    here.  Host blocks run through the SAC interpreter and are charged
+    to the host CPU model. *)
 
 type outcome = {
   result : int Ndarray.Tensor.t;
@@ -13,37 +13,21 @@ type outcome = {
   kernel_launches : int;
 }
 
-(** Device operations a plan needs — plans are target-neutral, so any
-    runtime exposing these five operations can execute one (the CUDA
-    facade here, the OpenCL facade in [Sac_opencl]).  [release] frees
-    a device buffer; the engine calls it only when the fusion/liveness
-    pass is enabled, after a buffer's last use in the plan. *)
-type device_ops = {
-  alloc : name:string -> int -> Gpu.Buffer.t;
-  upload : Gpu.Buffer.t -> int array -> unit;
-  download : Gpu.Buffer.t -> int array -> unit;
-  launch :
-    label:string ->
-    split:int ->
-    Gpu.Kir.t ->
-    grid:int array ->
-    args:(string * Gpu.Kir.arg) list ->
-    unit;
-  release : Gpu.Buffer.t -> unit;
-}
-
-val run_with :
+val run_context :
   ?host_mode:[ `Execute | `Estimate ] ->
   ?liveness:bool ->
   ?plane_tag:string ->
-  device_ops ->
+  Gpu.Context.t ->
   Plan.t ->
   args:(string * int Ndarray.Tensor.t) list ->
   outcome
-(** Execute a plan through arbitrary device operations.  [liveness]
-    (default [false]) releases each device buffer right after its last
-    use, so peak memory tracks the working set — enabled by callers
-    running optimised plans ({!Optimizer.Mode.liveness}). *)
+(** Execute a plan on a simulated device; plans are target-neutral, so
+    the CUDA, OpenCL and Metal facades all run them through their
+    context.  [liveness] (default [false]) frees each device buffer
+    right after its last use ({!Host_walk.of_plan}), enabled by callers
+    running optimised plans ({!Optimizer.Mode.liveness}).  Arguments
+    are not copied; the result is a fresh tensor even when the program
+    returns an argument. *)
 
 val run :
   ?host_mode:[ `Execute | `Estimate ] ->
@@ -53,9 +37,10 @@ val run :
   Plan.t ->
   args:(string * int Ndarray.Tensor.t) list ->
   outcome
-(** Device events (kernels and copies) are recorded on the runtime's
-    timeline; the returned tensor is the program result, bit-exact with
-    the interpreter.  Raises [Invalid_argument] on missing or mis-shaped
+(** {!run_context} on the CUDA runtime's context.  Device events
+    (kernels and copies) are recorded on the runtime's timeline; the
+    returned tensor is the program result, bit-exact with the
+    interpreter.  Raises [Invalid_argument] on missing or mis-shaped
     arguments.  [`Estimate] (for timing-only runs at paper scale)
     charges host blocks by {!Host_cost} sampling instead of full
     interpretation; the returned tensor is then not meaningful.

@@ -1,11 +1,13 @@
 (** Device-program plans: what the SAC CUDA backend produces.
 
     A plan is the backend's intermediate between the optimised SAC
-    program and either (a) simulated execution ({!Exec}) or (b) CUDA C
-    source emission ({!Emit_cu}).  It mirrors Section VII's three
-    steps: identified CUDA-WITH-loops become {!item.Device_withloop}s
-    (one kernel per generator), everything else stays on the host, and
-    transfers are implied by host/device residency at execution time. *)
+    program and its host program ({!Host_walk}), which the emitters
+    print ({!Emit_cu} and the OpenCL/Metal backends) and {!Exec} runs
+    on the simulated device.  It mirrors Section VII's three steps:
+    identified CUDA-WITH-loops become {!item.Device_withloop}s (one
+    kernel per generator), everything else stays on the host, and
+    transfers are implied by host/device residency, which the host
+    walk resolves. *)
 
 type item =
   | Device_withloop of {

@@ -3,8 +3,8 @@
    Lowers a Plan.t onto the generic analyzers in lib/analysis: every
    generator-kernel goes through the interval bounds checker, each
    Device_withloop's kernels through the race/coverage checker, and
-   the item list through the residency dataflow that mirrors
-   Exec.run_with's implicit-transfer discipline. *)
+   the item list through the residency dataflow that replays the
+   implicit-transfer discipline of Host_walk. *)
 
 open Ndarray
 

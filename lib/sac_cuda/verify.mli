@@ -3,8 +3,9 @@
     [check] runs the three analyzers from [lib/analysis] over a plan:
     interval bounds/div-by-zero/unused-param checking of every
     generator-kernel, race and [full_cover] validation per
-    [Device_withloop], and the residency/transfer dataflow mirroring
-    {!Exec.run_with}.  A correct compiler output yields []. *)
+    [Device_withloop], and the residency/transfer dataflow replaying
+    {!Host_walk}'s transfer rules.  A correct compiler output yields
+    []. *)
 
 val buffer_lengths :
   Sac.Scalarize.swith -> out_len:int -> (string * int) list

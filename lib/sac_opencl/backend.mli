@@ -6,8 +6,10 @@
     performance benefits of both approaches are comparable".  This
     module closes the square: compiled SAC plans are target-neutral
     ({!Sac_cuda.Plan.t} holds kernel IR), so the same plan can execute
-    through the OpenCL runtime facade and be emitted as [.cl] +
-    host [.cpp] + [Makefile] sources. *)
+    on the OpenCL facade's device and be emitted as [.cl] + host
+    [.cpp] + [Makefile] sources.  Both come from the one host walk
+    ({!Sac_cuda.Host_walk}): the host program printed here is the one
+    {!run} executes. *)
 
 val run :
   ?host_mode:[ `Execute | `Estimate ] ->
@@ -17,12 +19,13 @@ val run :
   Sac_cuda.Plan.t ->
   args:(string * int Ndarray.Tensor.t) list ->
   Sac_cuda.Exec.outcome
-(** Bit-exact with {!Sac_cuda.Exec.run} (property-tested); events land
+(** {!Sac_cuda.Exec.run_context} on the OpenCL context's device, so
+    bit-exact with {!Sac_cuda.Exec.run} (property-tested); events land
     on the OpenCL context's timeline. *)
 
 type sources = { cl : string; host : string; makefile : string }
 
 val sources : name:string -> Sac_cuda.Plan.t -> sources
 (** The generated translation units.  Host blocks of generic programs
-    appear in the host program as portable C comments, as in the CUDA
-    emitter. *)
+    appear in the host program as a comment with their statement
+    count. *)

@@ -57,17 +57,6 @@ let cache_size () =
   Mutex.unlock cache_lock;
   n
 
-let filter_labels () =
-  (* The first two device loops of the plan are the two filters; any
-     further kernels keep their generated names. *)
-  let labels = ref [ "H. Filter"; "V. Filter" ] in
-  fun _ ->
-    match !labels with
-    | l :: rest ->
-        labels := rest;
-        l
-    | [] -> "Kernel"
-
 let compile key =
   match key.k_pipeline with
   | `Custom _ -> assert false (* never cached *)
@@ -77,7 +66,7 @@ let compile key =
           ~cols:key.k_cols
       in
       let plan, _ =
-        Sac_cuda.Compile.plan_of_source ~label_of:(filter_labels ())
+        Sac_cuda.Compile.plan_of_source ~label_of:(Sac.Programs.downscaler_labels ())
           ~opt:key.k_opt src ~entry:"main"
       in
       Sac_plan plan
@@ -205,11 +194,6 @@ let placement t =
 (* Frame execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let mde_label = function
-  | "HorizontalFilter" -> "H. Filter"
-  | "VerticalFilter" -> "V. Filter"
-  | other -> other
-
 let run_frame t frame =
   let liveness = Optimizer.Mode.liveness t.opt in
   let affinity = placement t in
@@ -236,7 +220,7 @@ let run_frame t frame =
   | Mde_gen gen ->
       let ctx = Opencl.Runtime.create_context ?ordinal ?topology ?device () in
       let outs =
-        Mde.Chain.run ctx gen ~label_of:mde_label ~liveness
+        Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label ~liveness
           ~inputs:
             [
               ("r_in", Video.Frame.plane frame Video.Frame.R);

@@ -1,8 +1,3 @@
-let label_of = function
-  | "HorizontalFilter" -> "H. Filter"
-  | "VerticalFilter" -> "V. Filter"
-  | other -> other
-
 (* The recorded chain events are pure in the scale, so they are
    memoised (lock-check-unlock: the lock is never held while running
    the chain).  Each call returns a *fresh* timeline rebuilt from the
@@ -25,7 +20,7 @@ let run_once (s : Scale.t) =
         (fun idx -> (idx.(0) + (2 * idx.(1)) + c) mod 251)
     in
     ignore
-      (Mde.Chain.run ctx gen ~label_of
+      (Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label
          ~inputs:
            [ ("r_in", plane 0); ("g_in", plane 1); ("b_in", plane 2) ]);
     Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx))

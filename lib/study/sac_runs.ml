@@ -144,15 +144,11 @@ let full_pipeline_profile ~generic (s : Scale.t) =
   let src =
     Sac.Programs.downscaler ~generic ~rows:s.Scale.rows ~cols:s.Scale.cols
   in
-  let labels = ref [ "H. Filter"; "V. Filter" ] in
-  let label_of _ =
-    match !labels with
-    | l :: rest ->
-        labels := rest;
-        l
-    | [] -> "Kernel"
+  let plan, _ =
+    Sac_cuda.Compile.plan_of_source
+      ~label_of:(Sac.Programs.downscaler_labels ())
+      src ~entry:"main"
   in
-  let plan, _ = Sac_cuda.Compile.plan_of_source ~label_of src ~entry:"main" in
   let plane = dummy_plane H s in
   (* The three colour planes are independent: each runs against its own
      timing-only runtime on the pool, and the per-plane timelines are

@@ -1026,13 +1026,15 @@ let test_cuda_program_shape () =
       ~steps:
         [
           C_print.Comment "transfer in";
-          C_print.Alloc { dst = "d_a"; len = 64 };
+          C_print.Alloc { dst = "d_a"; name = "a"; len = 64 };
           C_print.Upload { dst = "d_a"; src = "h_a"; len = 64 };
           C_print.Launch
             {
               kernel = vadd;
               grid = [| 64 |];
               args = [ ("a", "d_a"); ("b", "d_a"); ("out", "d_a") ];
+              label = "vadd";
+              split = 1;
             };
           C_print.Download { dst = "h_a"; src = "d_a"; len = 64 };
           C_print.Free { name = "d_a" };
@@ -1055,13 +1057,15 @@ let test_opencl_host_shape () =
     Opencl.Emit.host_program ~name:"downscaler"
       ~steps:
         [
-          C_print.Alloc { dst = "d_in"; len = 128 };
+          C_print.Alloc { dst = "d_in"; name = "in"; len = 128 };
           C_print.Upload { dst = "d_in"; src = "h_in"; len = 128 };
           C_print.Launch
             {
               kernel = vadd;
               grid = [| 128 |];
               args = [ ("a", "d_in"); ("b", "d_in"); ("out", "d_in") ];
+              label = "vadd";
+              split = 1;
             };
           C_print.Download { dst = "h_in"; src = "d_in"; len = 128 };
           C_print.Free { name = "d_in" };

@@ -106,10 +106,7 @@ let run_frame ?liveness gen frame =
   let ctx = Opencl.Runtime.create_context () in
   let outs =
     Mde.Chain.run ?liveness ctx gen
-      ~label_of:(function
-        | "HorizontalFilter" -> "H. Filter"
-        | "VerticalFilter" -> "V. Filter"
-        | other -> other)
+      ~label_of:Mde.Chain.downscaler_label
       ~inputs:
         [
           ("r_in", Video.Frame.plane frame Video.Frame.R);
@@ -198,6 +195,70 @@ let test_fusion_fewer_launches () =
          events)
   in
   Alcotest.(check int) "3 launches instead of 6" 3 launches
+
+(* The host program Codegen prints is the one Chain.run executes: the
+   clEnqueueWriteBuffer / ReadBuffer / NDRangeKernel lines of the .cpp,
+   as direction and element count or kernel name, equal the recorded
+   h2d / d2h / kernel events in order. *)
+let ocl_schedule src =
+  let kernels = Hashtbl.create 8 in
+  let field line i =
+    String.trim (List.nth (String.split_on_char ',' line) i)
+  in
+  let count line i =
+    int_of_string (String.trim (List.hd (String.split_on_char '*' (field line i))))
+  in
+  String.split_on_char '\n' src
+  |> List.filter_map (fun line ->
+         if contains line "clCreateKernel(" then begin
+           (* cl_kernel kN = clCreateKernel(program, "name", NULL); *)
+           let var = List.nth (String.split_on_char ' ' (String.trim line)) 1 in
+           Hashtbl.replace kernels var
+             (List.nth (String.split_on_char '"' line) 1);
+           None
+         end
+         else if contains line "clEnqueueWriteBuffer(" then
+           Some ("h2d", string_of_int (count line 4))
+         else if contains line "clEnqueueReadBuffer(" then
+           Some ("d2h", string_of_int (count line 4))
+         else if contains line "clEnqueueNDRangeKernel(" then
+           Some ("kernel", Hashtbl.find kernels (field line 1))
+         else None)
+
+let test_emitted_is_executed () =
+  let rows = 72 and cols = 64 in
+  List.iter
+    (fun opt ->
+      let gen =
+        Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
+      in
+      let ctx = Opencl.Runtime.create_context () in
+      ignore
+        (Mde.Chain.run ctx gen
+           ~liveness:(Optimizer.Mode.liveness opt)
+           ~inputs:
+             (List.map
+                (fun (p : Arrayol.Model.port) ->
+                  (p.Arrayol.Model.pname, Tensor.create p.Arrayol.Model.pshape 1))
+                gen.Mde.Codegen.boundary_inputs));
+      let executed =
+        List.map
+          (fun (e : Gpu.Timeline.event) ->
+            match e.Gpu.Timeline.kind with
+            | Gpu.Timeline.Memcpy_h2d -> ("h2d", string_of_int (e.Gpu.Timeline.bytes / 4))
+            | Gpu.Timeline.Memcpy_d2h -> ("d2h", string_of_int (e.Gpu.Timeline.bytes / 4))
+            | Gpu.Timeline.Kernel | Gpu.Timeline.Memcpy_d2d ->
+                ("kernel", e.Gpu.Timeline.detail))
+          (Gpu.Timeline.events
+             (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx)))
+      in
+      Alcotest.(check int) "three planes uploaded" 3
+        (List.length (List.filter (fun (k, _) -> k = "h2d") executed));
+      Alcotest.(check (list (pair string string)))
+        ("--opt " ^ Optimizer.Mode.to_string opt)
+        (ocl_schedule gen.Mde.Codegen.host_source)
+        executed)
+    Optimizer.Mode.[ Off; Fuse; Auto ]
 
 let test_run_missing_input () =
   let gen = Mde.Chain.transform_exn (model ()) in
@@ -371,6 +432,8 @@ let () =
             test_run_matches_reference;
           Alcotest.test_case "event profile" `Quick test_run_event_profile;
           Alcotest.test_case "missing input" `Quick test_run_missing_input;
+          Alcotest.test_case "emitted = executed" `Quick
+            test_emitted_is_executed;
         ] );
       ( "fusion",
         [

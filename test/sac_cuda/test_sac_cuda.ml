@@ -209,6 +209,148 @@ let test_emit_generic_has_host_code () =
   Alcotest.(check bool) "host-resident code marked" true
     (contains src "host-resident SAC code")
 
+(* ---------- Emitted host program = executed host program ---------- *)
+
+(* The host-side operations of an emitted .cu, in order: each
+   cudaMemcpyAsync as its direction and element count, each launch as
+   its kernel name. *)
+let cu_schedule src =
+  String.split_on_char '\n' src
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if contains line "cudaMemcpyAsync(" then
+           let len =
+             match String.split_on_char ',' line with
+             | _ :: _ :: n :: _ ->
+                 int_of_string (List.hd (String.split_on_char '*' (String.trim n)) |> String.trim)
+             | _ -> Alcotest.failf "unparsed copy: %s" line
+           in
+           Some ((if contains line "HostToDevice" then "h2d" else "d2h"), string_of_int len)
+         else
+           match String.index_opt line '<' with
+           | Some i when contains line "<<<" -> Some ("kernel", String.sub line 0 i)
+           | _ -> None)
+
+(* The same operations as the simulator recorded them. *)
+let timeline_schedule rt =
+  List.map
+    (fun (e : Gpu.Timeline.event) ->
+      match e.Gpu.Timeline.kind with
+      | Gpu.Timeline.Memcpy_h2d -> ("h2d", string_of_int (e.Gpu.Timeline.bytes / 4))
+      | Gpu.Timeline.Memcpy_d2h -> ("d2h", string_of_int (e.Gpu.Timeline.bytes / 4))
+      | Gpu.Timeline.Kernel | Gpu.Timeline.Memcpy_d2d -> ("kernel", e.Gpu.Timeline.detail))
+    (Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt)))
+
+(* A rank-4 with-loop whose generator leaves part of the frame to the
+   base array (as in test/emit_golden). *)
+let rank4_source =
+  {|
+int[*] main(int[2,3,4,5] a)
+{
+    b = with {
+        ([0, 1, 0, 1] <= [i, j, k, l] < [2, 3, 4, 5]) : a[[i, j, k, l]] * 2 + i - l;
+    } : modarray( a);
+    return( b);
+}
+|}
+
+(* The heat step of examples/stencil_heat.ml. *)
+let stencil_source =
+  {|
+int[*] main(int[64,64] grid)
+{
+    next = with {
+        ([1, 1] <= [i, j] < [63, 63]) {
+            neighbours = grid[[i - 1, j]] + grid[[i + 1, j]] +
+                         grid[[i, j - 1]] + grid[[i, j + 1]];
+        } : (neighbours + 4 * grid[[i, j]]) / 8;
+    } : modarray( grid);
+    return( next);
+}
+|}
+
+(* Uncovered elements take a non-zero constant: the output buffer is
+   filled before the kernel runs. *)
+let const_base_source =
+  {|
+int[*] main(int[8,8] a)
+{
+    b = with {
+        ([1, 1] <= [i, j] < [7, 7]) : a[[i, j]] + 1;
+    } : genarray([8, 8], 5);
+    return( b);
+}
+|}
+
+let check_emitted_is_executed name ~opt src =
+  let plan, _ = Sac_cuda.Compile.plan_of_source ~opt src ~entry:"main" in
+  let args =
+    List.map
+      (fun (p, shape) -> (p, Tensor.init_lin shape (fun i -> (i * 7) mod 251)))
+      plan.Sac_cuda.Plan.params
+  in
+  let rt = Cuda.Runtime.init () in
+  ignore (Sac_cuda.Exec.run rt plan ~args);
+  Alcotest.(check (list (pair string string)))
+    (Printf.sprintf "%s --opt %s" name (Optimizer.Mode.to_string opt))
+    (cu_schedule (Sac_cuda.Emit_cu.source ~name:"p" plan))
+    (timeline_schedule rt)
+
+let test_emitted_is_executed () =
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun opt ->
+          check_emitted_is_executed name ~opt (program ~rows:72 ~cols:64))
+        Optimizer.Mode.[ Off; Fuse; Auto ])
+    [
+      ("horizontal", Sac.Programs.horizontal ~generic:false);
+      ("horizontal-generic", Sac.Programs.horizontal ~generic:true);
+      ("vertical", Sac.Programs.vertical ~generic:false);
+      ("vertical-generic", Sac.Programs.vertical ~generic:true);
+      ("downscaler", Sac.Programs.downscaler ~generic:false);
+      ("downscaler-generic", Sac.Programs.downscaler ~generic:true);
+    ];
+  check_emitted_is_executed "rank4" ~opt:Optimizer.Mode.Off rank4_source;
+  check_emitted_is_executed "stencil" ~opt:Optimizer.Mode.Off stencil_source;
+  check_emitted_is_executed "constant base" ~opt:Optimizer.Mode.Off
+    const_base_source
+
+let test_constant_base_filled () =
+  let plan, _ = Sac_cuda.Compile.plan_of_source const_base_source ~entry:"main" in
+  let a = Tensor.init_lin [| 8; 8 |] (fun i -> i) in
+  let o = Sac_cuda.Exec.run (Cuda.Runtime.init ()) plan ~args:[ ("a", a) ] in
+  let interpreted =
+    Sac.Interp.run (Sac.Parser.program const_base_source) ~entry:"main"
+      ~args:[ Sac.Value.Varr a ]
+  in
+  Alcotest.(check bool) "matches the interpreter" true
+    (Sac.Value.equal (Sac.Value.Varr o.Sac_cuda.Exec.result) interpreted);
+  Alcotest.(check bool) "fill printed" true
+    (contains (Sac_cuda.Emit_cu.source ~name:"p" plan) "cuMemsetD32((CUdeviceptr)d_b, 5, 64);")
+
+(* ---------- Arguments belong to the caller ---------- *)
+
+let test_returned_argument_is_copied () =
+  let a = Tensor.init_lin [| 4; 4 |] (fun i -> i) in
+  List.iter
+    (fun src ->
+      let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
+      let o = Sac_cuda.Exec.run (Cuda.Runtime.init ()) plan ~args:[ ("a", a) ] in
+      Alcotest.(check bool) "not the argument" false (o.Sac_cuda.Exec.result == a);
+      Alcotest.(check bool) "equal to it" true (tensor_eq o.Sac_cuda.Exec.result a))
+    [
+      "int[*] main(int[4,4] a) { return( a); }";
+      "int[*] main(int[4,4] a) { b = a; return( b); }";
+    ]
+
+let test_generic_run_keeps_argument () =
+  let plan, _ = compile ~generic:true ~filter:`Both () in
+  let plane = plane_of 4 in
+  let before = Tensor.copy plane in
+  ignore (execute plan plane);
+  Alcotest.(check bool) "argument unchanged" true (tensor_eq plane before)
+
 (* ---------- Host-cost estimator ---------- *)
 
 let test_estimator_accuracy () =
@@ -350,6 +492,10 @@ let () =
           Alcotest.test_case "wrong shape" `Quick test_exec_wrong_shape;
           Alcotest.test_case "split = unsplit pixels" `Quick
             test_split_vs_unsplit_same_result;
+          Alcotest.test_case "returned argument copied" `Quick
+            test_returned_argument_is_copied;
+          Alcotest.test_case "generic run keeps argument" `Quick
+            test_generic_run_keeps_argument;
         ] );
       ( "timing",
         [ Alcotest.test_case "splitting costs time" `Quick test_split_is_slower ] );
@@ -364,6 +510,10 @@ let () =
           Alcotest.test_case "non-generic .cu" `Quick test_emit_nongeneric;
           Alcotest.test_case "generic host code" `Quick
             test_emit_generic_has_host_code;
+          Alcotest.test_case "emitted = executed" `Quick
+            test_emitted_is_executed;
+          Alcotest.test_case "constant base filled" `Quick
+            test_constant_base_filled;
         ] );
       ( "fusion",
         [
