@@ -88,12 +88,8 @@ let apply_domains = function
       Gpu.Context.set_default_mode
         (if n <= 1 then Gpu.Context.Sequential else Gpu.Context.Parallel n)
 
-let main rows cols frames pipeline out_dir domains devices device_profile opt
+let main (rows, cols) frames pipeline out_dir domains devices device_profile opt
     perf_lint trace metrics =
-  if cols mod 8 <> 0 || rows mod 9 <> 0 then begin
-    Printf.eprintf "rows must be a multiple of 9 and cols of 8\n";
-    exit 2
-  end;
   if devices < 1 then begin
     Printf.eprintf "downscale: --devices must be positive\n";
     exit 2
@@ -205,8 +201,7 @@ let main rows cols frames pipeline out_dir domains devices device_profile opt
   0
 
 let () =
-  let rows = Arg.(value & opt int 288 & info [ "rows" ]) in
-  let cols = Arg.(value & opt int 352 & info [ "cols" ]) in
+  let frame = Frame_size.term ~rows:288 ~cols:352 in
   let frames = Arg.(value & opt int 4 & info [ "frames" ]) in
   let pipeline =
     Arg.(
@@ -308,7 +303,7 @@ let () =
   in
   let term =
     Term.(
-      const main $ rows $ cols $ frames $ pipeline $ out $ domains $ devices
+      const main $ frame $ frames $ pipeline $ out $ domains $ devices
       $ device_profile $ opt $ perf_lint $ trace $ metrics)
   in
   exit

@@ -78,7 +78,7 @@ let print_placements gen ~devices ~profile =
   done;
   Printf.printf "[sched]   makespan estimate %.1f us\n" !makespan
 
-let main rows cols out_dir show_model load save_model lint perf_lint opt
+let main (rows, cols) out_dir show_model load save_model lint perf_lint opt
     devices device_profile trace metrics =
   if devices < 1 then begin
     Printf.eprintf "gaspardcl: --devices must be positive\n";
@@ -123,7 +123,7 @@ let main rows cols out_dir show_model load save_model lint perf_lint opt
       let lint_failed =
         lint
         &&
-        let findings = Mde.Verify.check gen.Mde.Codegen.kernel_tasks in
+        let findings = Mde.Verify.check_generated gen in
         List.iter
           (fun f -> Format.printf "%a@." Analysis.Finding.pp_long f)
           findings;
@@ -166,8 +166,7 @@ let main rows cols out_dir show_model load save_model lint perf_lint opt
       finish (if lint_failed then 1 else 0)
 
 let () =
-  let rows = Arg.(value & opt int 1080 & info [ "rows" ]) in
-  let cols = Arg.(value & opt int 1920 & info [ "cols" ]) in
+  let frame = Frame_size.term ~rows:1080 ~cols:1920 in
   let out =
     Arg.(
       value
@@ -280,7 +279,7 @@ let () =
   in
   let term =
     Term.(
-      const main $ rows $ cols $ out $ show_model $ load $ save_model $ lint
+      const main $ frame $ out $ show_model $ load $ save_model $ lint
       $ perf_lint $ opt $ devices $ device_profile $ trace $ metrics)
   in
   exit

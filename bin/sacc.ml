@@ -27,7 +27,7 @@ let builtin_source name rows cols =
       Some (Sac.Programs.vertical ~generic:true ~rows ~cols)
   | _ -> None
 
-let main input builtin from_model generic rows cols emit entry verify
+let main input builtin from_model generic (rows, cols) emit entry verify
     perf_lint opt trace metrics =
   Analysis.Config.set_mode verify;
   Analysis.Config.set_perf_mode perf_lint;
@@ -194,8 +194,7 @@ let () =
       & info [ "generic" ]
           ~doc:"With --from-model: use the generic (for-loop) output tiler.")
   in
-  let rows = Arg.(value & opt int 1080 & info [ "rows" ]) in
-  let cols = Arg.(value & opt int 1920 & info [ "cols" ]) in
+  let frame = Frame_size.term ~rows:1080 ~cols:1920 in
   let emit =
     Arg.(
       value
@@ -284,7 +283,7 @@ let () =
   in
   let term =
     Term.(
-      const main $ input $ builtin $ from_model $ generic $ rows $ cols
+      const main $ input $ builtin $ from_model $ generic $ frame
       $ emit $ entry $ verify $ perf_lint $ opt $ trace $ metrics)
   in
   let info =

@@ -71,12 +71,8 @@ let run_pipeline ~pipeline ~fmt ~streams ~rate ~duration ~policy ~batch_max
     ~sessions ~rate_hz:rate ~duration_s:duration ()
 
 let main streams rate duration policy batch_max window_us workers capacity
-    deadline_ms slo_ms slow_dump pipeline rows cols opt domains devices
+    deadline_ms slo_ms slow_dump pipeline (rows, cols) opt domains devices
     device_profile trace metrics =
-  if cols mod 8 <> 0 || rows mod 9 <> 0 then begin
-    Printf.eprintf "served: rows must be a multiple of 9 and cols of 8\n";
-    exit 2
-  end;
   if streams < 1 || rate <= 0. || duration <= 0. then begin
     Printf.eprintf "served: --streams, --rate and --duration must be positive\n";
     exit 2
@@ -240,8 +236,7 @@ let () =
           Both
       & info [ "pipeline" ] ~doc:"sac, gaspard or both.")
   in
-  let rows = Arg.(value & opt int 288 & info [ "rows" ]) in
-  let cols = Arg.(value & opt int 352 & info [ "cols" ]) in
+  let frame = Frame_size.term ~rows:288 ~cols:352 in
   let opt =
     Arg.(
       value
@@ -318,7 +313,7 @@ let () =
     Term.(
       const main $ streams $ rate $ duration $ policy $ batch_max $ window_us
       $ workers $ capacity $ deadline_ms $ slo_ms $ slow_dump $ pipeline
-      $ rows $ cols $ opt $ domains $ devices $ device_profile $ trace
+      $ frame $ opt $ domains $ devices $ device_profile $ trace
       $ metrics)
   in
   exit

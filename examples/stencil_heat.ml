@@ -3,7 +3,10 @@
    by the WITH-loop's modarray operation (uncovered indices copy the
    source).  On the device that is a second upload of the grid, into
    the output buffer before the kernel runs, which the emitted host
-   program prints too: two host-to-device copies per step.
+   program prints too: two host-to-device copies per step.  The
+   transfer check reports the second one as a redundant-transfer
+   warning (`sacc --emit lint`), since the kernel's input buffer
+   already holds the grid.
 
    Run with: dune exec examples/stencil_heat.exe *)
 

@@ -1,5 +1,5 @@
 (* Analyzer findings: one shared record for all three checkers, so the
-   kernel verifier, the race detector and the residency pass print in
+   kernel verifier, the race detector and the transfer check print in
    the same [file:where: what] format as Sac.Check and
    Arrayol.Validate issues. *)
 
@@ -82,65 +82,34 @@ let src = Logs.Src.create "analysis" ~doc:"kernel/plan static analysis"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let m_findings = "analysis.findings"
-let m_errors = "analysis.errors"
-let m_warnings = "analysis.warnings"
-let m_notes = "analysis.notes"
-let m_kernels = "analysis.kernels_checked"
-let m_plans = "analysis.plans_checked"
-
-let record findings =
+(* Correctness findings count under analysis.*, performance lints under
+   analysis.perf.*, so the bench report can tell them apart. *)
+let record_under prefix findings =
   List.iter
     (fun f ->
-      Obs.Metrics.incr (Obs.Metrics.counter m_findings);
-      (match f.severity with
-      | Error -> Obs.Metrics.incr (Obs.Metrics.counter m_errors)
-      | Warning -> Obs.Metrics.incr (Obs.Metrics.counter m_warnings)
-      | Note -> Obs.Metrics.incr (Obs.Metrics.counter m_notes));
-      let log_level =
+      let count name = Obs.Metrics.incr (Obs.Metrics.counter (prefix ^ name)) in
+      count "findings";
+      count (severity_label f.severity ^ "s");
+      let level =
         match f.severity with
         | Error -> Logs.Error
         | Warning -> Logs.Warning
         | Note -> Logs.Info
       in
-      Log.msg log_level (fun k -> k "%a" pp_long f))
+      Log.msg level (fun k -> k "%a" pp_long f))
     findings
 
-let kernels_checked n = Obs.Metrics.add (Obs.Metrics.counter m_kernels) n
-let plan_checked () = Obs.Metrics.incr (Obs.Metrics.counter m_plans)
-
-let m_dropped = "analysis.findings_dropped"
+let record ~kernels findings =
+  Obs.Metrics.add (Obs.Metrics.counter "analysis.kernels_checked") kernels;
+  Obs.Metrics.incr (Obs.Metrics.counter "analysis.plans_checked");
+  record_under "analysis." findings
 
 let findings_dropped n =
-  if n > 0 then Obs.Metrics.add (Obs.Metrics.counter m_dropped) n
-
-(* Performance lints live in their own metric namespace so the bench
-   report can tell correctness findings from perf findings apart. *)
-let m_perf_findings = "analysis.perf.findings"
-let m_perf_errors = "analysis.perf.errors"
-let m_perf_warnings = "analysis.perf.warnings"
-let m_perf_notes = "analysis.perf.notes"
-let m_perf_kernels = "analysis.perf.kernels_checked"
-
-let perf_record findings =
-  List.iter
-    (fun f ->
-      Obs.Metrics.incr (Obs.Metrics.counter m_perf_findings);
-      (match f.severity with
-      | Error -> Obs.Metrics.incr (Obs.Metrics.counter m_perf_errors)
-      | Warning -> Obs.Metrics.incr (Obs.Metrics.counter m_perf_warnings)
-      | Note -> Obs.Metrics.incr (Obs.Metrics.counter m_perf_notes));
-      let log_level =
-        match f.severity with
-        | Error -> Logs.Error
-        | Warning -> Logs.Warning
-        | Note -> Logs.Info
-      in
-      Log.msg log_level (fun k -> k "%a" pp_long f))
-    findings
+  if n > 0 then
+    Obs.Metrics.add (Obs.Metrics.counter "analysis.findings_dropped") n
 
 let perf_kernels_checked n =
-  Obs.Metrics.add (Obs.Metrics.counter m_perf_kernels) n
+  Obs.Metrics.add (Obs.Metrics.counter "analysis.perf.kernels_checked") n
 
 let gate_under mode ~verb ~what findings =
   match mode with
@@ -157,16 +126,18 @@ let gate_under mode ~verb ~what findings =
           (Format.asprintf "%s of %s failed: %d error(s); first: %a" verb
              what (List.length errs) pp (List.hd errs))
 
-let gate ~what findings =
+let gate ~what ~kernels findings =
   match Config.mode () with
   | Config.Off -> Ok ()
   | mode ->
-      record findings;
+      let findings = findings () in
+      record ~kernels findings;
       gate_under mode ~verb:"verification" ~what findings
 
 let perf_gate ~what findings =
   match Config.perf_mode () with
   | Config.Off -> Ok ()
   | mode ->
-      perf_record findings;
+      let findings = findings () in
+      record_under "analysis.perf." findings;
       gate_under mode ~verb:"perf lint" ~what findings

@@ -1,6 +1,6 @@
 (** Findings reported by the static analyzers.
 
-    Every checker (kernel verifier, race detector, residency pass)
+    Every checker (kernel verifier, race detector, transfer check)
     produces a flat list of these; the printers use the same
     [file:where: what] shape as [Sac.Check.pp_issue] and
     [Arrayol.Validate.pp_issue], so lint output from all three
@@ -18,10 +18,13 @@ type kind =
   | Unproven_disjoint  (** disjointness could not be established *)
   | Bad_cover  (** [full_cover] claim provably wrong *)
   | Unproven_cover  (** [full_cover] claim not established *)
-  | Undefined_use  (** plan item reads a name no earlier item defines *)
-  | Missing_d2h  (** host code reads a device-only array without a transfer *)
-  | Redundant_transfer  (** declared read (forces d2h) that is never used *)
-  | Dead_item  (** Copy/Const_array whose target is never consumed *)
+  | Undefined_use
+      (** host step reads a value no earlier step defines, or a freed
+          buffer *)
+  | Missing_d2h  (** host code reads a device-only value without a transfer *)
+  | Redundant_transfer
+      (** host step moves a value that is never read or already there *)
+  | Dead_item  (** host step writes values nothing reads *)
   | Bad_kernel  (** kernel fails structural validation *)
   | Analysis_skipped  (** problem too large for the configured budget *)
   | Uncoalesced_access
@@ -37,7 +40,7 @@ type t = {
   kind : kind;
   severity : severity;
   file : string;  (** pipeline / source context, e.g. ["sac"] or ["mde"] *)
-  where : string;  (** kernel or plan-item name *)
+  where : string;  (** kernel or host-step name *)
   what : string;
 }
 
@@ -65,31 +68,24 @@ val warnings : t list -> int
 
 val notes : t list -> int
 
-val record : t list -> unit
-(** Count the findings into the [analysis.*] metrics and log each one
-    on the [analysis] log source. *)
+val record : kernels:int -> t list -> unit
+(** Count one checked plan, its [kernels] and its findings into the
+    [analysis.*] metrics, and log each finding on the [analysis] log
+    source. *)
 
-val kernels_checked : int -> unit
-(** Bump the [analysis.kernels_checked] counter by [n]. *)
-
-val plan_checked : unit -> unit
-(** Bump the [analysis.plans_checked] counter. *)
-
-val gate : what:string -> t list -> (unit, string) result
-(** Apply the configured {!Config.mode}: [Off] ignores the findings,
-    [Lint] records them and succeeds, [Strict] records them and fails
-    when any has [Error] severity. *)
+val gate :
+  what:string -> kernels:int -> (unit -> t list) -> (unit, string) result
+(** Apply the configured {!Config.mode}: [Off] computes nothing, [Lint]
+    computes and {!record}s the findings and succeeds, [Strict] records
+    them and fails when any has [Error] severity. *)
 
 val findings_dropped : int -> unit
 (** Count [n] findings a checker truncated past its budget into the
     [analysis.findings_dropped] metric (no-op for [n <= 0]). *)
 
-val perf_record : t list -> unit
-(** Like {!record} but into the [analysis.perf.*] metric namespace. *)
-
 val perf_kernels_checked : int -> unit
 (** Bump the [analysis.perf.kernels_checked] counter by [n]. *)
 
-val perf_gate : what:string -> t list -> (unit, string) result
+val perf_gate : what:string -> (unit -> t list) -> (unit, string) result
 (** {!gate} under {!Config.perf_mode}, recording into the
     [analysis.perf.*] metrics. *)

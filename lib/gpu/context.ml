@@ -32,10 +32,10 @@ type t = {
   mutable peak : int;
   mutable next_id : int;
   live : (int, Buffer.t) Hashtbl.t;
-  (* Reuse arena (--fuse on): freed backing stores keyed by length,
-     recycled by [alloc] instead of growing the heap.  Only the
-     liveness pass frees mid-plan, so the arena stays empty unless
-     fusion is enabled. *)
+  (* Reuse arena: freed backing stores keyed by length, recycled by
+     [alloc] instead of growing the heap.  Host programs free every
+     buffer at their end (and, under liveness, after its last use), so
+     a context's later runs reuse the stores of earlier ones. *)
   arena : (int, int array list) Hashtbl.t;
   (* Per-context kernel caches.  A context belongs to one thread of the
      driver, so these tables need no locking; the process-wide second

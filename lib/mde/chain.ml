@@ -76,8 +76,7 @@ let transform ?(opt = Optimizer.Mode.default ()) ?device model =
   let* () =
     match
       Obs.Tracer.with_span ~cat:"mde" "mde.verify" (fun () ->
-          Verify.gate ~file:"mde:opencl2verified"
-            generated.Codegen.kernel_tasks)
+          Verify.gate_generated ~file:"mde:opencl2verified" generated)
     with
     | Ok () ->
         record "opencl2verified: kernel verification"

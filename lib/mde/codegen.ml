@@ -183,10 +183,11 @@ let kernel_of_repetitive ~instance task =
   | _ -> fail "%s: not a repetitive task" instance
 
 (* The host program: boundary inputs uploaded, kernels launched level
-   by level in schedule order, boundary outputs read back.  With
-   [liveness], each buffer is freed after the last level that reads it
-   (or, unread, after the level that produced it); boundary outputs
-   stay live for the read-back. *)
+   by level in schedule order, boundary outputs read back, and the
+   buffers still allocated freed.  With [liveness], each buffer is
+   freed after the last level that reads it (or, unread, after the
+   level that produced it); boundary outputs stay live for the
+   read-back. *)
 let host_steps ?(liveness = false) (g : generated) =
   let buf_of inst port = "d_" ^ sanitize inst ^ "_" ^ sanitize port in
   let source_buffer target =
@@ -242,20 +243,18 @@ let host_steps ?(liveness = false) (g : generated) =
         ])
       g.boundary_inputs
   in
+  let release = List.rev_map (fun name -> C_print.Free { name }) in
   let free_dead li =
-    if not liveness then []
-    else begin
-      let dead, kept =
-        List.partition
-          (fun b ->
-            match Hashtbl.find_opt last_level b with
-            | Some l -> l <= li
-            | None -> true)
-          !live
-      in
-      live := kept;
-      List.rev_map (fun name -> C_print.Free { name }) dead
-    end
+    let dead, kept =
+      List.partition
+        (fun b ->
+          liveness
+          && Option.fold ~none:true ~some:(fun l -> l <= li)
+               (Hashtbl.find_opt last_level b))
+        !live
+    in
+    live := kept;
+    release dead
   in
   let task_steps kt =
     let outs =
@@ -306,7 +305,7 @@ let host_steps ?(liveness = false) (g : generated) =
           (source_buffer (Arrayol.Model.Boundary p.Arrayol.Model.pname)))
       g.boundary_outputs
   in
-  input_steps @ kernel_steps @ output_steps
+  input_steps @ kernel_steps @ output_steps @ release !live
 
 (* Model-to-text on an already-assembled task set: recomputed whenever
    a pass (kernel fusion) rewrites [kernel_tasks] or [connections]. *)

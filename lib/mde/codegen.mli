@@ -41,10 +41,10 @@ val kernel_of_repetitive :
 val host_steps : ?liveness:bool -> generated -> _ Gpu.C_print.host_step list
 (** The host program: boundary inputs uploaded, each kernel's output
     buffers allocated and the kernel launched, level by level in
-    schedule order, boundary outputs read back.  A launch's label is
-    its task name.  [liveness] (default [false]) frees each buffer
-    after the last level that reads it; boundary outputs stay live for
-    the read-back.  {!render} prints these steps and {!Exec.run}
+    schedule order, boundary outputs read back, then every buffer still
+    allocated freed.  A launch's label is its task name.  [liveness]
+    (default [false]) frees each buffer after the last level that reads
+    it; boundary outputs stay live for the read-back.  {!render} prints these steps and {!Exec.run}
     executes them. *)
 
 val render : generated -> generated

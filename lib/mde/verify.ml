@@ -1,10 +1,11 @@
-(* Static verification of generated kernel tasks.
+(* Static verification of generated kernel tasks and host programs.
 
    Every GPU-allocated repetitive task's kernel goes through the
    interval bounds checker, and each output port through the
    race/coverage checker with [full_cover = true]: ArrayOL semantics
    require the output tiler to pave the port's array exactly once, so
-   an overlap is a race and a gap is a cover violation.
+   an overlap is a race and a gap is a cover violation.  The host
+   program goes through the transfer check.
 
    Callers may refine [?file] with the chain pass that triggered the
    check (e.g. "mde:opencl2verified"), so findings carry the pass name
@@ -31,14 +32,27 @@ let check_task ?(file = default_file) (kt : Codegen.kernel_task) =
 
 let check ?file tasks = List.concat_map (check_task ?file) tasks
 
+(* The liveness host program is the plain one plus its mid-program
+   frees, so checking it covers both.  Gaspard2 host programs run no
+   host code of their own. *)
+let check_steps ?(file = default_file) (g : Codegen.generated) steps =
+  let host (p : Arrayol.Model.port) = "h_" ^ Codegen.sanitize p.Arrayol.Model.pname in
+  Analysis.Transfer.check ~file ~route:(fun () -> Analysis.Transfer.no_access)
+    ~inputs:(List.map host g.Codegen.boundary_inputs)
+    ~outputs:(List.map host g.Codegen.boundary_outputs) steps
+
+let check_generated ?file (g : Codegen.generated) =
+  check ?file g.Codegen.kernel_tasks
+  @ check_steps ?file g (Codegen.host_steps ~liveness:true g)
+
 let gate ?file tasks =
-  match Analysis.Config.mode () with
-  | Analysis.Config.Off -> Ok ()
-  | Analysis.Config.Lint | Analysis.Config.Strict ->
-      let findings = check ?file tasks in
-      Analysis.Finding.kernels_checked (List.length tasks);
-      Analysis.Finding.plan_checked ();
-      Analysis.Finding.gate ~what:"generated kernels" findings
+  Analysis.Finding.gate ~what:"generated kernels" ~kernels:(List.length tasks)
+    (fun () -> check ?file tasks)
+
+let gate_generated ?file g =
+  Analysis.Finding.gate ~what:"generated kernels"
+    ~kernels:(List.length g.Codegen.kernel_tasks)
+    (fun () -> check_generated ?file g)
 
 (* Performance lints: the Gaspard2 chain keeps each task whole, so
    [split] is 1 — exactly the modelling assumption of Perf_model. *)
@@ -47,8 +61,5 @@ let perf_check ?(file = default_file) tasks =
     (List.map (fun kt -> (kt.Codegen.kernel, kt.Codegen.grid)) tasks)
 
 let perf_gate ?file tasks =
-  match Analysis.Config.perf_mode () with
-  | Analysis.Config.Off -> Ok ()
-  | Analysis.Config.Lint | Analysis.Config.Strict ->
-      Analysis.Finding.perf_gate ~what:"generated kernels"
-        (perf_check ?file tasks)
+  Analysis.Finding.perf_gate ~what:"generated kernels" (fun () ->
+      perf_check ?file tasks)

@@ -1,8 +1,9 @@
-(** Static verification of generated kernel tasks.
+(** Static verification of generated kernel tasks and host programs.
 
     [check] runs the interval bounds checker over each task's kernel
     and the race/coverage checker over each output port with the
-    exact-pave claim ArrayOL semantics impose.  A correct code
+    exact-pave claim ArrayOL semantics impose; {!check_generated} adds
+    {!Analysis.Transfer} over the host program.  A correct code
     generator yields [].
 
     [?file] names the pipeline context in each finding's
@@ -10,13 +11,24 @@
     ["mde:<pass>"] so kernel-level findings identify the chain pass
     that raised them. *)
 
-val check_task : ?file:string -> Codegen.kernel_task -> Analysis.Finding.t list
-
 val check : ?file:string -> Codegen.kernel_task list -> Analysis.Finding.t list
 
+val check_steps :
+  ?file:string ->
+  Codegen.generated ->
+  unit Gpu.C_print.host_step list ->
+  Analysis.Finding.t list
+(** {!Analysis.Transfer} over host steps of the program. *)
+
+val check_generated :
+  ?file:string -> Codegen.generated -> Analysis.Finding.t list
+(** {!check}, then {!check_steps} over [Codegen.host_steps ~liveness:true]. *)
+
 val gate : ?file:string -> Codegen.kernel_task list -> (unit, string) result
-(** Verification gate applied by {!Chain.transform}, honouring
-    {!Analysis.Config.mode}. *)
+(** {!check} as a gate honouring {!Analysis.Config.mode}. *)
+
+val gate_generated : ?file:string -> Codegen.generated -> (unit, string) result
+(** {!check_generated} as the gate {!Chain.transform} applies. *)
 
 val perf_check :
   ?file:string -> Codegen.kernel_task list -> Analysis.Finding.t list

@@ -50,7 +50,7 @@ let rewrite_item (p : Plan.t) target f =
         in
         if
           !changed
-          && Fuse_plan.item_findings ~swith:d.swith ~kernels
+          && Verify.item_findings ~swith:d.swith ~kernels
                ~full_cover:d.full_cover
              = []
         then Some (Plan.Device_withloop { d with kernels })

@@ -15,5 +15,4 @@ let source ~name (plan : Plan.t) =
   let w =
     Host_walk.of_plan ~host_block:host_block_code ~label_withloops:true plan
   in
-  let frees = List.map (fun name -> Gpu.C_print.Free { name }) w.live in
-  Cuda.Emit.program ~name ~kernels:w.kernels ~steps:(w.steps @ frees)
+  Cuda.Emit.program ~name ~kernels:w.kernels ~steps:w.steps

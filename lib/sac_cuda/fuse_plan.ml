@@ -11,31 +11,15 @@
    plane become 7 and the 72x24 horizontal pass is no longer
    materialised.
 
-   Every fused item is re-verified with the same bounds and race/cover
-   analyses the plan gate runs; a single finding vetoes the rewrite,
-   so fusion is verified-by-construction and can only be observed
-   through fewer launches and lower peak memory. *)
+   Every fused item is re-verified with Verify.item_findings, the
+   bounds and race/cover check the plan gate runs; a single finding
+   vetoes the rewrite, so fusion is verified-by-construction and can
+   only be observed through fewer launches and lower peak memory. *)
 
 open Ndarray
 
-let file = "sac"
-
 let out_shape_of (sw : Sac.Scalarize.swith) =
   Shape.concat sw.Sac.Scalarize.frame sw.Sac.Scalarize.cell_shape
-
-let buffer_lengths (sw : Sac.Scalarize.swith) ~out_len =
-  ("out", out_len)
-  :: List.map
-       (fun (a, shape) -> (Kernelize.sanitize a, Shape.size shape))
-       sw.Sac.Scalarize.arrays
-
-let item_findings ~swith ~kernels ~full_cover =
-  let len = Shape.size (out_shape_of swith) in
-  let buffers = buffer_lengths swith ~out_len:len in
-  List.concat_map
-    (fun (k, grid) -> Analysis.Kir_check.check ~file ~buffers ~grid k)
-    kernels
-  @ Analysis.Race.check_group ~file ~out:"out" ~len ~full_cover kernels
 
 (* How item [it] uses array [t]: as a device input, or in any way that
    forbids eliminating [t] (base materialisation, host reads or
@@ -115,7 +99,8 @@ let try_fuse_pair (p : Plan.t) items i j =
           (* Self-gate: the fused item must verify as cleanly as the
              rest of the plan. *)
           if
-            item_findings ~swith ~kernels ~full_cover:consumer.full_cover
+            Verify.item_findings ~swith ~kernels
+              ~full_cover:consumer.full_cover
             <> []
           then begin
             Logs.debug (fun f ->

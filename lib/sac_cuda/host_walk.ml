@@ -4,7 +4,6 @@ module C = Gpu.C_print
 type t = {
   kernels : (Gpu.Kir.t * int array) list;
   steps : Plan.item C.host_step list;
-  live : string list;
   downloads : (string * int array) list;
 }
 
@@ -78,6 +77,17 @@ let of_plan ?(host_block = statement_count) ?(label_withloops = false)
     plan.Plan.params;
   let steps = ref [] in
   let push s = steps := s :: !steps in
+  (* Device buffers allocated and not yet freed, newest first. *)
+  let allocated = ref [] in
+  let alloc dst name len =
+    push (C.Alloc { dst; name; len });
+    allocated := dst :: !allocated
+  in
+  let free name =
+    push (C.Free { name });
+    allocated := List.filter (( <> ) name) !allocated
+  in
+  let aliased b = Hashtbl.fold (fun _ v acc -> acc || v.buffer = Some b) vars false in
   let kernels = ref [] in
   let downloads = ref [] in
   (* device2host when the host needs an array only the device holds;
@@ -101,7 +111,7 @@ let of_plan ?(host_block = statement_count) ?(label_withloops = false)
     | None ->
         if not v.on_host then fail "%s read before definition" name;
         let len = Shape.size shape in
-        push (C.Alloc { dst = dev name; name = Kernelize.sanitize name; len });
+        alloc (dev name) (Kernelize.sanitize name) len;
         push (C.Upload { dst = dev name; src = host name; len });
         v.buffer <- Some (dev name);
         dev name
@@ -120,7 +130,7 @@ let of_plan ?(host_block = statement_count) ?(label_withloops = false)
               | _ -> acc)
             vars []
         in
-        List.iter (fun name -> push (C.Free { name })) (List.sort compare dead))
+        List.iter free (List.sort compare dead))
       dies
   in
   List.iteri
@@ -165,11 +175,10 @@ let of_plan ?(host_block = statement_count) ?(label_withloops = false)
               swith.Sac.Scalarize.arrays
           in
           let out = dev target in
-          push (C.Alloc { dst = out; name = Kernelize.sanitize target; len });
+          alloc out (Kernelize.sanitize target) len;
           (declare target shape).buffer <- Some out;
           (if not full_cover then
              match swith.Sac.Scalarize.base with
-             | Sac.Scalarize.Base_const 0 -> ()
              | Sac.Scalarize.Base_const value ->
                  push (C.Fill { dst = out; value; len })
              | Sac.Scalarize.Base_array b ->
@@ -191,29 +200,24 @@ let of_plan ?(host_block = statement_count) ?(label_withloops = false)
             (List.sort_uniq compare reads);
           push (C.Route { code = host_block stmts; payload = item });
           (* Host blocks are functional: what they write is a new host
-             value, and any device copy of it is stale. *)
+             value, and any device copy of it is stale (freed unless a
+             copy still aliases it). *)
           List.iter
             (fun w ->
               match Hashtbl.find_opt vars w with
               | Some v ->
                   v.on_host <- true;
-                  v.buffer <- None
+                  Option.iter
+                    (fun b ->
+                      v.buffer <- None;
+                      if not (aliased b) then free b)
+                    v.buffer
               | None -> (declare w [||]).on_host <- true)
             (List.sort_uniq compare writes));
       free_dead i)
     plan.Plan.items;
-  (* Result back to the host. *)
+  (* Result back to the host, then every buffer still allocated is
+     released. *)
   ensure_host plan.Plan.result;
-  let live =
-    List.filter_map
-      (function
-        | Plan.Device_withloop { target; _ } -> (lookup target).buffer
-        | _ -> None)
-      plan.Plan.items
-  in
-  {
-    kernels = List.rev !kernels;
-    steps = List.rev !steps;
-    live;
-    downloads = !downloads;
-  }
+  List.iter free (List.rev !allocated);
+  { kernels = List.rev !kernels; steps = List.rev !steps; downloads = !downloads }

@@ -14,19 +14,18 @@
     - what a host block writes is host-resident, and its device copy
       is dropped;
     - a with-loop whose generators do not cover its frame first fills
-      its output buffer with the base (an upload, or a fill for a
-      non-zero constant);
+      its output buffer with the base (an upload, or a fill for any
+      constant, zero included: device allocations are not zeroed);
     - a [Copy] aliases its source's device buffer;
-    - the result is downloaded at the end if only the device holds it. *)
+    - the result is downloaded at the end if only the device holds it,
+      and every buffer still allocated is then freed, in allocation
+      order. *)
 
 type t = {
   kernels : (Gpu.Kir.t * int array) list;  (** in launch order *)
   steps : Plan.item Gpu.C_print.host_step list;
       (** [Route] payloads are the plan's host blocks, constant arrays
           and copies *)
-  live : string list;
-      (** device names of the with-loop targets still resident after
-          the final download, in plan order *)
   downloads : (string * int array) list;
       (** shape of every host name a [Download] writes *)
 }
@@ -47,5 +46,5 @@ val of_plan :
     [CUDA-WITH-loop: <label>] comment; [liveness] (default [false])
     frees each device buffer right after the last item that can read
     its alias class, so peak memory tracks the working set (the result
-    stays live).  Raises [Invalid_argument] when the plan reads an
+    stays live until the end).  Raises [Invalid_argument] when the plan reads an
     array before defining it. *)

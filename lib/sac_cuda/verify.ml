@@ -3,8 +3,8 @@
    Lowers a Plan.t onto the generic analyzers in lib/analysis: every
    generator-kernel goes through the interval bounds checker, each
    Device_withloop's kernels through the race/coverage checker, and
-   the item list through the residency dataflow that replays the
-   implicit-transfer discipline of Host_walk. *)
+   the host program Host_walk prints and Exec runs through the
+   transfer check. *)
 
 open Ndarray
 
@@ -43,59 +43,59 @@ let actual_reads stmts =
   let _, acc = List.fold_left stmt (Sset.empty, Sset.empty) stmts in
   Sset.elements acc
 
-let kernel_findings (p : Plan.t) =
+(* The per-with-loop kernel check: bounds of every generator kernel,
+   then race and cover over the group.  The plan gate, fusion and the
+   autotuner's candidate gate all call this one. *)
+let item_findings ~swith ~kernels ~full_cover =
+  let len =
+    Shape.size
+      (Shape.concat swith.Sac.Scalarize.frame swith.Sac.Scalarize.cell_shape)
+  in
+  let buffers = buffer_lengths swith ~out_len:len in
   List.concat_map
-    (fun item ->
-      match item with
+    (fun (k, grid) -> Analysis.Kir_check.check ~file ~buffers ~grid k)
+    kernels
+  @ Analysis.Race.check_group ~file ~out:"out" ~len ~full_cover kernels
+
+(* What a Route payload of the host walk reads and writes on the host:
+   a host block its actual free variables and its declared writes, a
+   constant array its target; a copy shares its source's value. *)
+let access item =
+  let open Analysis.Transfer in
+  let h = List.map Host_walk.host in
+  match item with
+  | Plan.Host_block { stmts; writes; _ } ->
+      { no_access with reads = h (actual_reads stmts); writes = h writes }
+  | Plan.Const_array { target; _ } -> { no_access with writes = h [ target ] }
+  | Plan.Copy { target; source } ->
+      { no_access with copies = [ (Host_walk.host target, Host_walk.host source) ] }
+  | Plan.Device_withloop _ -> no_access
+
+(* A with-loop's buffer d_x computes the host value h_x. *)
+let check_steps (p : Plan.t) steps =
+  Analysis.Transfer.check ~file
+    ~defines:(fun d -> Some ("h_" ^ String.sub d 2 (String.length d - 2)))
+    ~inputs:(List.map (fun (x, _) -> Host_walk.host x) p.Plan.params)
+    ~outputs:[ Host_walk.host p.Plan.result ]
+    ~route:access steps
+
+(* The liveness schedule is the plain one plus its mid-program frees,
+   so checking it covers both. *)
+let check (p : Plan.t) =
+  List.concat_map
+    (function
       | Plan.Device_withloop { swith; kernels; full_cover; _ } ->
-          let out_shape =
-            Shape.concat swith.Sac.Scalarize.frame
-              swith.Sac.Scalarize.cell_shape
-          in
-          let len = Shape.size out_shape in
-          let buffers = buffer_lengths swith ~out_len:len in
-          List.concat_map
-            (fun (k, grid) ->
-              Analysis.Kir_check.check ~file ~buffers ~grid k)
-            kernels
-          @ Analysis.Race.check_group ~file ~out:"out" ~len ~full_cover kernels
+          item_findings ~swith ~kernels ~full_cover
       | Plan.Const_array _ | Plan.Host_block _ | Plan.Copy _ -> [])
     p.Plan.items
-
-let residency_findings (p : Plan.t) =
-  let items =
-    List.mapi
-      (fun i item ->
-        let where s = Printf.sprintf "item%d(%s)" i s in
-        match item with
-        | Plan.Const_array { target; _ } ->
-            Analysis.Residency.Def { target; label = where ("const " ^ target) }
-        | Plan.Copy { target; source } ->
-            Analysis.Residency.Alias
-              { target; source; label = where ("copy " ^ target) }
-        | Plan.Device_withloop { target; swith; full_cover; label; _ } ->
-            let reads_device = List.map fst swith.Sac.Scalarize.arrays in
-            let reads_host =
-              match (full_cover, swith.Sac.Scalarize.base) with
-              | false, Sac.Scalarize.Base_array b -> [ b ]
-              | _ -> []
-            in
-            Analysis.Residency.Launch
-              { target; reads_device; reads_host; label = where label }
-        | Plan.Host_block { stmts; reads; writes } ->
-            Analysis.Residency.Host
-              {
-                declared = reads;
-                actual = actual_reads stmts;
-                writes;
-                label = where "host-block";
-              })
-      p.Plan.items
-  in
-  Analysis.Residency.check ~file ~params:(List.map fst p.Plan.params)
-    ~result:p.Plan.result items
-
-let check (p : Plan.t) = kernel_findings p @ residency_findings p
+  @
+  match Host_walk.of_plan ~liveness:true p with
+  | w -> check_steps p w.Host_walk.steps
+  | exception Invalid_argument m ->
+      [
+        Analysis.Finding.v Analysis.Finding.Undefined_use Analysis.Finding.Error
+          ~file ~where:"host-walk" "%s" m;
+      ]
 
 (* Performance lints: every generator kernel of every device item,
    with [split] the generator count of its originating WITH-loop — the
@@ -111,19 +111,11 @@ let perf_check (p : Plan.t) =
     p.Plan.items
 
 let perf_gate (p : Plan.t) =
-  match Analysis.Config.perf_mode () with
-  | Analysis.Config.Off -> Ok ()
-  | Analysis.Config.Lint | Analysis.Config.Strict ->
-      Analysis.Finding.perf_gate
-        ~what:(Printf.sprintf "plan for %s" p.Plan.result)
-        (perf_check p)
+  Analysis.Finding.perf_gate
+    ~what:(Printf.sprintf "plan for %s" p.Plan.result)
+    (fun () -> perf_check p)
 
 let gate (p : Plan.t) =
-  match Analysis.Config.mode () with
-  | Analysis.Config.Off -> Ok ()
-  | Analysis.Config.Lint | Analysis.Config.Strict ->
-      let findings = check p in
-      Analysis.Finding.kernels_checked (Plan.kernel_count p);
-      Analysis.Finding.plan_checked ();
-      Analysis.Finding.gate ~what:(Printf.sprintf "plan for %s" p.Plan.result)
-        findings
+  Analysis.Finding.gate
+    ~what:(Printf.sprintf "plan for %s" p.Plan.result)
+    ~kernels:(Plan.kernel_count p) (fun () -> check p)

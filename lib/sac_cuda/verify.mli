@@ -1,11 +1,11 @@
 (** Static verification of compiled plans (the Section VII invariants).
 
-    [check] runs the three analyzers from [lib/analysis] over a plan:
+    [check] runs the analyzers from [lib/analysis] over a plan:
     interval bounds/div-by-zero/unused-param checking of every
     generator-kernel, race and [full_cover] validation per
-    [Device_withloop], and the residency/transfer dataflow replaying
-    {!Host_walk}'s transfer rules.  A correct compiler output yields
-    []. *)
+    [Device_withloop], and {!Analysis.Transfer} over the host steps of
+    [Host_walk.of_plan ~liveness:true] — the program the emitters print
+    and {!Exec} runs.  A correct compiler output yields []. *)
 
 val buffer_lengths :
   Sac.Scalarize.swith -> out_len:int -> (string * int) list
@@ -13,7 +13,24 @@ val buffer_lengths :
     kernel-parameter name and element count — the buffer environment
     the analyzers (and tests) allocate against. *)
 
+val item_findings :
+  swith:Sac.Scalarize.swith ->
+  kernels:(Gpu.Kir.t * int array) list ->
+  full_cover:bool ->
+  Analysis.Finding.t list
+(** Bounds of each kernel of one device with-loop, then race and cover
+    over the group: the check {!Fuse_plan} and {!Autotune} gate each
+    candidate with. *)
+
+val check_steps :
+  Plan.t -> Plan.item Gpu.C_print.host_step list -> Analysis.Finding.t list
+(** {!Analysis.Transfer} over host steps of the plan: a host block
+    reads its free variables and writes its declared writes, a constant
+    array writes its target, and a copy shares its source's value. *)
+
 val check : Plan.t -> Analysis.Finding.t list
+(** A read before definition, on which {!Host_walk.of_plan} raises, is
+    an [Undefined_use] error. *)
 
 val perf_check : Plan.t -> Analysis.Finding.t list
 (** Performance lints ({!Analysis.Perf_lint}) over every generator

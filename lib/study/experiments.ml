@@ -750,9 +750,7 @@ let lint ?(scale = Scale.validation) ?(opt = Optimizer.Mode.Off) () =
     let src = Sac.Programs.downscaler ~generic ~rows ~cols in
     let plan, _ = Sac_cuda.Compile.plan_of_source ~opt src ~entry:"main" in
     let findings = Sac_cuda.Verify.check plan in
-    Analysis.Finding.record findings;
-    Analysis.Finding.kernels_checked (Sac_cuda.Plan.kernel_count plan);
-    Analysis.Finding.plan_checked ();
+    Analysis.Finding.record ~kernels:(Sac_cuda.Plan.kernel_count plan) findings;
     {
       pipeline =
         Printf.sprintf "SAC -> CUDA (%s)"
@@ -766,10 +764,8 @@ let lint ?(scale = Scale.validation) ?(opt = Optimizer.Mode.Off) () =
       Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
     in
     let tasks = gen.Mde.Codegen.kernel_tasks in
-    let findings = Mde.Verify.check tasks in
-    Analysis.Finding.record findings;
-    Analysis.Finding.kernels_checked (List.length tasks);
-    Analysis.Finding.plan_checked ();
+    let findings = Mde.Verify.check_generated gen in
+    Analysis.Finding.record ~kernels:(List.length tasks) findings;
     { pipeline = "Gaspard2 -> OpenCL"; kernels = List.length tasks; findings }
   in
   [ sac false; sac true; mde ]

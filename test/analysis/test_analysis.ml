@@ -1,5 +1,6 @@
 (* Tests for the static analyzers: interval domain soundness, kernel
-   bounds/race/coverage checking, plan residency dataflow, and the
+   bounds/race/coverage checking, the transfer check over host steps,
+   and the
    acceptance property that both pipelines' H.263 downscaler kernels
    verify clean while seeded mutants produce the expected finding. *)
 
@@ -403,111 +404,246 @@ let test_fallback_unbound_scalar () =
     ]
     (List.map (Format.asprintf "%a" Analysis.Finding.pp_long) fs)
 
-(* ---------- residency ---------- *)
+(* ---------- transfer check over host steps ---------- *)
 
-let test_residency_clean () =
-  let items =
-    [
-      Analysis.Residency.Launch
-        {
-          target = "t";
-          reads_device = [ "frame" ];
-          reads_host = [];
-          label = "item0";
-        };
-      Analysis.Residency.Host
-        {
-          declared = [ "t" ];
-          actual = [ "t" ];
-          writes = [ "res" ];
-          label = "item1";
-        };
-    ]
-  in
-  let fs = Analysis.Residency.check ~params:[ "frame" ] ~result:"res" items in
-  Alcotest.(check int) "no findings" 0 (List.length fs)
+(* Each mutant edits the host steps of a real program, as printed and
+   run, and checks the finding the edit must produce. *)
 
-let test_residency_missing_d2h () =
-  (* mutant: the forcing read of the device-only array was removed *)
-  let items =
-    [
-      Analysis.Residency.Launch
-        {
-          target = "t";
-          reads_device = [ "frame" ];
-          reads_host = [];
-          label = "item0";
-        };
-      Analysis.Residency.Host
-        { declared = []; actual = [ "t" ]; writes = [ "res" ]; label = "item1" };
-    ]
+module C = Gpu.C_print
+
+let host_steps plan =
+  (Sac_cuda.Host_walk.of_plan ~liveness:true plan).Sac_cuda.Host_walk.steps
+
+let downscaler_plan ~generic =
+  fst
+    (Sac_cuda.Compile.plan_of_source ~opt:Optimizer.Mode.Off
+       (Sac.Programs.downscaler ~generic ~rows ~cols)
+       ~entry:"main")
+
+let mutant_findings plan edit =
+  Sac_cuda.Verify.check_steps plan (edit (host_steps plan))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
   in
-  let fs = Analysis.Residency.check ~params:[ "frame" ] ~result:"res" items in
+  go 0
+
+let index_of p l =
+  let rec go i = function
+    | [] -> Alcotest.fail "no such step"
+    | x :: rest -> if p x then i else go (i + 1) rest
+  in
+  go 0 l
+
+let drop_first p l =
+  let i = index_of p l in
+  List.filteri (fun j _ -> j <> i) l
+
+let insert_at i step l =
+  List.concat (List.mapi (fun j s -> if j = i then [ step; s ] else [ s ]) l)
+
+let reads_buffer d = function
+  | C.Launch { args; _ } -> List.exists (fun (_, a) -> a = d) args
+  | _ -> false
+
+let is_download = function C.Download _ -> true | _ -> false
+
+let test_transfer_dropped_download () =
+  (* the generic downscaler downloads a with-loop result for its host
+     block; without that download the host reads stale data *)
+  let fs =
+    mutant_findings (downscaler_plan ~generic:true) (drop_first is_download)
+  in
   Alcotest.(check bool) "missing d2h" true
     (has_kind Analysis.Finding.Missing_d2h fs)
 
-let test_residency_use_before_def () =
-  let items =
-    [
-      Analysis.Residency.Launch
-        {
-          target = "t";
-          reads_device = [ "ghost" ];
-          reads_host = [];
-          label = "item0";
-        };
-    ]
+let test_transfer_unallocated_read () =
+  let fs =
+    mutant_findings (downscaler_plan ~generic:false)
+      (drop_first (function C.Alloc { dst; _ } -> dst = "d_frame" | _ -> false))
   in
-  let fs = Analysis.Residency.check ~params:[ "frame" ] ~result:"t" items in
+  Alcotest.(check bool) "launch reads an unallocated buffer" true
+    (List.exists
+       (fun f ->
+         f.Analysis.Finding.kind = Analysis.Finding.Undefined_use
+         && contains f.Analysis.Finding.where "launch")
+       fs)
+
+let test_transfer_dead_write () =
+  let unused =
+    C.Route
+      {
+        code = "";
+        payload =
+          Sac_cuda.Plan.Const_array { target = "unused"; shape = [| 4 |]; fill = 0 };
+      }
+  in
+  let fs =
+    mutant_findings (downscaler_plan ~generic:false) (fun s -> unused :: s)
+  in
+  Alcotest.(check bool) "dead item" true (has_kind Analysis.Finding.Dead_item fs)
+
+let test_transfer_unread_download () =
+  (* a download of the first with-loop's intermediate, which no host
+     code reads *)
+  let fs =
+    mutant_findings (downscaler_plan ~generic:false) (fun steps ->
+        let i = index_of (function C.Launch _ -> true | _ -> false) steps in
+        let out =
+          match List.nth steps i with
+          | C.Launch { args; _ } -> List.assoc "out" args
+          | _ -> assert false
+        in
+        insert_at (i + 1) (C.Download { dst = "h_spare"; src = out; len = 1 }) steps)
+  in
+  Alcotest.(check bool) "redundant transfer" true
+    (has_kind Analysis.Finding.Redundant_transfer fs)
+
+let test_transfer_early_free () =
+  (* the input's free moved before the last launch that reads it *)
+  let fs =
+    mutant_findings (downscaler_plan ~generic:false) (fun steps ->
+        let free = C.Free { name = "d_frame" } in
+        let steps' = List.filter (( <> ) free) steps in
+        let last =
+          List.fold_left max (-1)
+            (List.mapi (fun i s -> if reads_buffer "d_frame" s then i else -1) steps')
+        in
+        insert_at last free steps')
+  in
   Alcotest.(check bool) "undefined use" true
     (has_kind Analysis.Finding.Undefined_use fs)
 
-let test_residency_dead_copy () =
-  let items =
-    [
-      Analysis.Residency.Alias
-        { target = "unused"; source = "frame"; label = "item0" };
-      Analysis.Residency.Launch
-        {
-          target = "t";
-          reads_device = [ "frame" ];
-          reads_host = [];
-          label = "item1";
-        };
-    ]
+let test_transfer_gaspard_dropped_upload () =
+  let gen =
+    Mde.Chain.transform_exn ~opt:Optimizer.Mode.Off
+      (Mde.Chain.downscaler_model ~rows ~cols)
   in
-  let fs = Analysis.Residency.check ~params:[ "frame" ] ~result:"t" items in
-  Alcotest.(check bool) "dead item" true (has_kind Analysis.Finding.Dead_item fs)
+  let steps = Mde.Codegen.host_steps ~liveness:true gen in
+  Alcotest.(check int) "unmutated clean" 0
+    (List.length (Mde.Verify.check_steps gen steps));
+  let fs =
+    Mde.Verify.check_steps gen
+      (drop_first (function C.Upload _ -> true | _ -> false) steps)
+  in
+  Alcotest.(check bool) "undefined use" true
+    (has_kind Analysis.Finding.Undefined_use fs)
 
-let test_residency_redundant_transfer () =
-  let items =
-    [
-      Analysis.Residency.Launch
-        {
-          target = "t";
-          reads_device = [ "frame" ];
-          reads_host = [];
-          label = "item0";
-        };
-      Analysis.Residency.Host
-        {
-          declared = [ "t" ];
-          actual = [];
-          writes = [ "res" ];
-          label = "item1";
-        };
-      Analysis.Residency.Host
-        {
-          declared = [];
-          actual = [ "res" ];
-          writes = [ "res" ];
-          label = "item2";
-        };
-    ]
+(* Every Alloc is freed exactly once, and no buffer is allocated twice
+   while live. *)
+let balanced steps =
+  let live = Hashtbl.create 8 in
+  List.for_all
+    (function
+      | C.Alloc { dst; _ } ->
+          let fresh = not (Hashtbl.mem live dst) in
+          Hashtbl.replace live dst ();
+          fresh
+      | C.Free { name } ->
+          let was = Hashtbl.mem live name in
+          Hashtbl.remove live name;
+          was
+      | _ -> true)
+    steps
+  && Hashtbl.length live = 0
+
+(* A with-loop whose generator leaves part of the frame to the base
+   array (the rank-4 golden program and the heat step of
+   examples/stencil_heat.ml). *)
+let rank4_source =
+  {|
+int[*] main(int[2,3,4,5] a)
+{
+    b = with {
+        ([0, 1, 0, 1] <= [i, j, k, l] < [2, 3, 4, 5]) : a[[i, j, k, l]] * 2 + i - l;
+    } : modarray( a);
+    return( b);
+}
+|}
+
+let stencil_source =
+  {|
+int[*] main(int[64,64] grid)
+{
+    next = with {
+        ([1, 1] <= [i, j] < [63, 63]) {
+            neighbours = grid[[i - 1, j]] + grid[[i + 1, j]] +
+                         grid[[i, j - 1]] + grid[[i, j + 1]];
+        } : (neighbours + 4 * grid[[i, j]]) / 8;
+    } : modarray( grid);
+    return( next);
+}
+|}
+
+(* A host block that updates a device-computed array in place, which a
+   later kernel reads again: the stale buffer is freed before the
+   re-upload allocates it anew. *)
+let host_write_source =
+  {|
+int[*] main(int[2,4] a)
+{
+    b = with {
+        ([0, 0] <= iv < [2, 4]) : a[iv] + 1;
+    } : genarray([2, 4]);
+    b[[0, 0]] = 5;
+    c = with {
+        ([0, 0] <= iv < [2, 4]) : b[iv] * 2;
+    } : genarray([2, 4]);
+    return( c);
+}
+|}
+
+let test_transfer_shipped_programs () =
+  let sac name opt src =
+    let plan, _ = Sac_cuda.Compile.plan_of_source ~opt src ~entry:"main" in
+    let what = Printf.sprintf "%s --opt %s" name (Optimizer.Mode.to_string opt) in
+    Alcotest.(check int) (what ^ ": errors") 0
+      (Analysis.Finding.errors (Sac_cuda.Verify.check plan));
+    List.iter
+      (fun liveness ->
+        Alcotest.(check bool) (what ^ ": allocs freed") true
+          (balanced (Sac_cuda.Host_walk.of_plan ~liveness plan).Sac_cuda.Host_walk.steps))
+      [ false; true ]
   in
-  let fs = Analysis.Residency.check ~params:[ "frame" ] ~result:"res" items in
-  Alcotest.(check bool) "redundant transfer" true
-    (has_kind Analysis.Finding.Redundant_transfer fs)
+  List.iter
+    (fun opt ->
+      List.iter
+        (fun (name, program) -> sac name opt (program ~rows ~cols))
+        [
+          ("horizontal", Sac.Programs.horizontal ~generic:false);
+          ("horizontal-generic", Sac.Programs.horizontal ~generic:true);
+          ("vertical", Sac.Programs.vertical ~generic:false);
+          ("vertical-generic", Sac.Programs.vertical ~generic:true);
+          ("downscaler", Sac.Programs.downscaler ~generic:false);
+          ("downscaler-generic", Sac.Programs.downscaler ~generic:true);
+        ];
+      sac "rank4" opt rank4_source;
+      sac "stencil" opt stencil_source;
+      sac "host-write" opt host_write_source;
+      let gen =
+        Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
+      in
+      let what = "gaspard --opt " ^ Optimizer.Mode.to_string opt in
+      Alcotest.(check int) (what ^ ": findings") 0
+        (List.length (Mde.Verify.check_generated gen));
+      List.iter
+        (fun liveness ->
+          Alcotest.(check bool) (what ^ ": allocs freed") true
+            (balanced (Mde.Codegen.host_steps ~liveness gen)))
+        [ false; true ])
+    Optimizer.Mode.[ Off; Fuse; Auto ]
+
+let test_transfer_stencil_double_upload () =
+  (* the base grid goes over PCIe into the output buffer although the
+     kernel's input buffer already holds it *)
+  let plan, _ = Sac_cuda.Compile.plan_of_source stencil_source ~entry:"main" in
+  Alcotest.(check (list string)) "one redundant upload"
+    [ "redundant-transfer" ]
+    (List.map
+       (fun f -> Analysis.Finding.kind_label f.Analysis.Finding.kind)
+       (Sac_cuda.Verify.check plan))
 
 (* ---------- the SAC pipeline ---------- *)
 
@@ -641,7 +777,7 @@ let test_sac_mutant_broken_interchange_gated () =
         match item with
         | Sac_cuda.Plan.Device_withloop { swith; kernels; full_cover; _ } ->
             let fs =
-              Sac_cuda.Fuse_plan.item_findings ~swith
+              Sac_cuda.Verify.item_findings ~swith
                 ~kernels:(List.map swap_grid kernels)
                 ~full_cover
             in
@@ -667,7 +803,7 @@ let test_sac_mutant_broken_interchange_gated () =
           Alcotest.(check (list string)) "sound interchange accepted" []
             (List.map
                (Format.asprintf "%a" Analysis.Finding.pp_long)
-               (Sac_cuda.Fuse_plan.item_findings ~swith ~kernels:sound
+               (Sac_cuda.Verify.item_findings ~swith ~kernels:sound
                   ~full_cover))
       | _ -> ())
     plan.Sac_cuda.Plan.items
@@ -1085,15 +1221,22 @@ let () =
           Alcotest.test_case "branch-uniform-cover" `Quick
             test_race_branch_uniform_cover;
         ] );
-      ( "residency",
+      ( "transfer",
         [
-          Alcotest.test_case "clean" `Quick test_residency_clean;
-          Alcotest.test_case "missing-d2h" `Quick test_residency_missing_d2h;
-          Alcotest.test_case "use-before-def" `Quick
-            test_residency_use_before_def;
-          Alcotest.test_case "dead-copy" `Quick test_residency_dead_copy;
-          Alcotest.test_case "redundant-transfer" `Quick
-            test_residency_redundant_transfer;
+          Alcotest.test_case "dropped-download" `Quick
+            test_transfer_dropped_download;
+          Alcotest.test_case "unallocated-read" `Quick
+            test_transfer_unallocated_read;
+          Alcotest.test_case "dead-write" `Quick test_transfer_dead_write;
+          Alcotest.test_case "unread-download" `Quick
+            test_transfer_unread_download;
+          Alcotest.test_case "early-free" `Quick test_transfer_early_free;
+          Alcotest.test_case "gaspard-dropped-upload" `Quick
+            test_transfer_gaspard_dropped_upload;
+          Alcotest.test_case "shipped-programs" `Quick
+            test_transfer_shipped_programs;
+          Alcotest.test_case "stencil-double-upload" `Quick
+            test_transfer_stencil_double_upload;
         ] );
       ( "sac-pipeline",
         [

@@ -2,8 +2,9 @@
    example programs produce: the six built-in SAC programs (both
    output-tiler variants of each filter and of the full downscaler)
    through the SAC->CUDA compiler, and the Gaspard2 downscaler model
-   through the MDE chain — each swept both without and with the
-   --opt fuse plan optimizer, so fused dispatch kernels stay verified.
+   through the MDE chain, kernels and host programs — each swept both
+   without and with the --opt fuse plan optimizer, so fused dispatch
+   kernels stay verified.
 
    Exits non-zero on any error finding, so the `lint` alias (attached
    to runtest) fails when either code generator regresses. *)
@@ -70,7 +71,7 @@ let sweep opt suffix =
       let tasks = gen.Mde.Codegen.kernel_tasks in
       report
         ("mde/downscaler-chain" ^ suffix)
-        (List.length tasks) (Mde.Verify.check tasks)
+        (List.length tasks) (Mde.Verify.check_generated gen)
   | Error m ->
       Printf.printf "%-32s chain failed: %s\n" ("mde/downscaler-chain" ^ suffix)
         m;

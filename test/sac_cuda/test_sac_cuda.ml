@@ -282,6 +282,19 @@ int[*] main(int[8,8] a)
 }
 |}
 
+(* Uncovered elements take the default zero: device allocations are not
+   zeroed, so the output buffer is filled all the same. *)
+let zero_base_source =
+  {|
+int[*] main(int[9] a)
+{
+    b = with {
+        ([1] <= iv < [8]) : 1;
+    } : genarray([9]);
+    return( b);
+}
+|}
+
 let check_emitted_is_executed name ~opt src =
   let plan, _ = Sac_cuda.Compile.plan_of_source ~opt src ~entry:"main" in
   let args =
@@ -314,7 +327,9 @@ let test_emitted_is_executed () =
   check_emitted_is_executed "rank4" ~opt:Optimizer.Mode.Off rank4_source;
   check_emitted_is_executed "stencil" ~opt:Optimizer.Mode.Off stencil_source;
   check_emitted_is_executed "constant base" ~opt:Optimizer.Mode.Off
-    const_base_source
+    const_base_source;
+  check_emitted_is_executed "zero base" ~opt:Optimizer.Mode.Off
+    zero_base_source
 
 let test_constant_base_filled () =
   let plan, _ = Sac_cuda.Compile.plan_of_source const_base_source ~entry:"main" in
@@ -328,6 +343,21 @@ let test_constant_base_filled () =
     (Sac.Value.equal (Sac.Value.Varr o.Sac_cuda.Exec.result) interpreted);
   Alcotest.(check bool) "fill printed" true
     (contains (Sac_cuda.Emit_cu.source ~name:"p" plan) "cuMemsetD32((CUdeviceptr)d_b, 5, 64);")
+
+let test_zero_base_filled () =
+  let plan, _ = Sac_cuda.Compile.plan_of_source zero_base_source ~entry:"main" in
+  let lines =
+    String.split_on_char '\n' (Sac_cuda.Emit_cu.source ~name:"p" plan)
+  in
+  let first needle =
+    let rec go i = function
+      | [] -> Alcotest.failf "no line with %s" needle
+      | l :: rest -> if contains l needle then i else go (i + 1) rest
+    in
+    go 0 lines
+  in
+  Alcotest.(check bool) "zero fill before the launch" true
+    (first "cuMemsetD32((CUdeviceptr)d_b, 0, 9);" < first "<<<")
 
 (* ---------- Arguments belong to the caller ---------- *)
 
@@ -514,6 +544,7 @@ let () =
             test_emitted_is_executed;
           Alcotest.test_case "constant base filled" `Quick
             test_constant_base_filled;
+          Alcotest.test_case "zero base filled" `Quick test_zero_base_filled;
         ] );
       ( "fusion",
         [
