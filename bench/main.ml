@@ -9,14 +9,15 @@
       (WLF on/off, Figure 8 generator splitting on/off, transfer
       batching, generic vs non-generic), reported in simulated GTX480
       time.
-   3. {b Microbenchmarks} — one Bechamel [Test.make] per table/figure
-      (at a reduced scale so the statistics converge quickly) plus the
-      main compiler components, measuring the *implementation's* wall
-      clock.
+   3. {b Microbenchmarks} — Bechamel [Test.make]s for the tables and
+      figures (at a reduced scale so the statistics converge quickly)
+      plus the main compiler components, measuring the
+      *implementation's* wall clock.
 
    Flags:
-     --smoke          reduced scale + tiny Bechamel quota; fast enough to
-                      run under `dune runtest`.
+     --smoke          reduced scale + tiny Bechamel quota without GC
+                      stabilisation; fast enough to run under
+                      `dune runtest`.
      --json [PATH]    also write the per-section wall-clock times as JSON
                       (default: BENCH_<yyyy-mm-dd>.json), with the kernel
                       cache statistics and pool counters embedded.
@@ -73,11 +74,11 @@ let dummy_plane (scale : Study.Scale.t) =
     (fun idx -> (idx.(0) + (2 * idx.(1))) mod 251)
 
 let simulate_plan ~scale ~plane plan =
-  let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only () in
+  let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only () in
   let outcome =
-    Sac_cuda.Exec.run ~host_mode:`Estimate rt plan ~args:[ ("frame", plane) ]
+    Sac_cuda.Exec.run ~host_mode:`Estimate ctx plan ~args:[ ("frame", plane) ]
   in
-  let dev = Cuda.Runtime.elapsed_us rt in
+  let dev = Gpu.Context.elapsed_us ctx in
   ( (dev +. outcome.Sac_cuda.Exec.host_us)
     *. float_of_int (Study.Scale.planes * scale.Study.Scale.frames)
     /. 1e6,
@@ -413,19 +414,8 @@ let compiled_plan =
 
 let tests =
   [
-    (* One benchmark per paper artefact, at reduced scale. *)
-    Test.make ~name:"fig9/seq-nongeneric-H"
-      (Staged.stage (fun () ->
-           Study.Sac_runs.time_us Study.Sac_runs.Seq_nongeneric Study.Sac_runs.H
-             small));
-    Test.make ~name:"fig9/cuda-nongeneric-H"
-      (Staged.stage (fun () ->
-           Study.Sac_runs.time_us Study.Sac_runs.Cuda_nongeneric
-             Study.Sac_runs.H small));
-    Test.make ~name:"fig9/cuda-generic-H"
-      (Staged.stage (fun () ->
-           Study.Sac_runs.time_us Study.Sac_runs.Cuda_generic Study.Sac_runs.H
-             small));
+    (* Paper artefacts at reduced scale.  Figure 9 has no row: its runs
+       are memoised, so a row would time a table lookup. *)
     Test.make ~name:"table1/gaspard-profile"
       (Staged.stage (fun () -> Study.Gaspard_runs.profile small));
     Test.make ~name:"table2/sac-profile"
@@ -451,8 +441,7 @@ let tests =
            Sac_cuda.Emit_cu.source ~name:"bench" (Lazy.force compiled_plan)));
     Test.make ~name:"runtime/execute-plan-72x64"
       (Staged.stage (fun () ->
-           let rt = Cuda.Runtime.init () in
-           Sac_cuda.Exec.run rt (Lazy.force compiled_plan)
+           Sac_cuda.Exec.run (Gpu.Context.create ()) (Lazy.force compiled_plan)
              ~args:[ ("frame", Lazy.force tiny_frame) ]));
     Test.make ~name:"mde/transform-chain"
       (Staged.stage (fun () ->
@@ -472,7 +461,9 @@ let tests =
 let run_benchmarks ~smoke () =
   section "Microbenchmarks (wall clock of this implementation)";
   let cfg =
-    if smoke then Benchmark.cfg ~limit:10 ~quota:(Time.second 0.01) ~kde:None ()
+    if smoke then
+      Benchmark.cfg ~limit:10 ~quota:(Time.second 0.01) ~kde:None
+        ~stabilize:false ()
     else Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None ()
   in
   let instance = Toolkit.Instance.monotonic_clock in

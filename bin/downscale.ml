@@ -5,7 +5,7 @@
    of the paper's Section III as a runnable tool.
 
    Frames are independent, so they are processed in batches on the
-   shared domain pool: each frame runs against its own runtime (the
+   shared domain pool: each frame runs on its own device context (the
    compiled plan and kernel preparations are shared process-wide), and
    the per-frame timelines are merged in frame order, so the printed
    profile and the worst-PSNR figure are identical to a sequential
@@ -15,17 +15,8 @@ open Cmdliner
 
 type pipeline = Reference | Sac_cuda_pipe | Gaspard
 
-(* Device selection for one frame's private runtime: the scheduler's
-   chosen ordinal within the shared topology. *)
-type devsel = {
-  ds_ordinal : int;
-  ds_topology : Gpu.Topology.t;
-  ds_device : Gpu.Device.t;
-}
-
-(* Each pipeline is a function from a device selection and a frame to
-   the scaled frame plus the device events the frame's private runtime
-   recorded. *)
+(* Each device pipeline maps a frame to the scaled frame on the frame's
+   private device context. *)
 let frame_via_sac rows cols =
   let src = Sac.Programs.downscaler ~generic:false ~rows ~cols in
   let plan, _ =
@@ -33,29 +24,18 @@ let frame_via_sac rows cols =
       ~label_of:(Sac.Programs.downscaler_labels ())
       src ~entry:"main"
   in
-  fun ds frame ->
-    let rt =
-      Cuda.Runtime.init ~ordinal:ds.ds_ordinal ~topology:ds.ds_topology
-        ~device:ds.ds_device ()
-    in
-    let scaled =
-      Video.Frame.map_planes
-        (fun _ plane ->
-          (Sac_cuda.Exec.run rt plan
-             ~liveness:(Optimizer.Mode.liveness (Optimizer.Mode.default ()))
-             ~args:[ ("frame", plane) ])
-            .Sac_cuda.Exec.result)
-        frame
-    in
-    (scaled, Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt)))
+  fun ctx frame ->
+    Video.Frame.map_planes
+      (fun _ plane ->
+        (Sac_cuda.Exec.run ctx plan
+           ~liveness:(Optimizer.Mode.liveness (Optimizer.Mode.default ()))
+           ~args:[ ("frame", plane) ])
+          .Sac_cuda.Exec.result)
+      frame
 
 let frame_via_gaspard rows cols =
   let gen = Mde.Chain.transform_exn (Mde.Chain.downscaler_model ~rows ~cols) in
-  fun ds frame ->
-    let ctx =
-      Opencl.Runtime.create_context ~ordinal:ds.ds_ordinal
-        ~topology:ds.ds_topology ~device:ds.ds_device ()
-    in
+  fun ctx frame ->
     let outs =
       Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label
         ~liveness:(Optimizer.Mode.liveness (Optimizer.Mode.default ()))
@@ -66,16 +46,19 @@ let frame_via_gaspard rows cols =
             ("b_in", Video.Frame.plane frame Video.Frame.B);
           ]
     in
-    let scaled =
-      {
-        Video.Frame.r = List.assoc "r_out" outs;
-        g = List.assoc "g_out" outs;
-        b = List.assoc "b_out" outs;
-      }
-    in
-    ( scaled,
-      Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx))
-    )
+    {
+      Video.Frame.r = List.assoc "r_out" outs;
+      g = List.assoc "g_out" outs;
+      b = List.assoc "b_out" outs;
+    }
+
+(* A device pipeline run on the scheduler's chosen ordinal of the
+   shared topology: the scaled frame plus the events its private context
+   recorded. *)
+let on_device via topology ordinal frame =
+  let ctx = Gpu.Context.create ~ordinal ~topology () in
+  let scaled = via ctx frame in
+  (scaled, Gpu.Timeline.events (Gpu.Context.timeline ctx))
 
 let apply_domains = function
   | None -> ()
@@ -99,33 +82,27 @@ let main (rows, cols) frames pipeline out_dir domains devices device_profile opt
   Analysis.Config.set_perf_mode perf_lint;
   if trace <> None then Obs.Tracer.set_enabled true;
   let fmt = { Video.Format.name = "synthetic"; rows; cols } in
-  let run =
-    match pipeline with
-    | Reference -> fun _ f -> (Video.Downscaler.frame f, [])
-    | Sac_cuda_pipe -> frame_via_sac rows cols
-    | Gaspard -> frame_via_gaspard rows cols
-  in
   (* Frames shard across the device set through the residency-aware
      scheduler; placement happens sequentially at batch-closure
      creation, so it is deterministic whatever --domains says. *)
   let topology = Gpu.Topology.uniform ~devices device_profile in
+  let run =
+    match pipeline with
+    | Reference -> fun _ f -> (Video.Downscaler.frame f, [])
+    | Sac_cuda_pipe -> on_device (frame_via_sac rows cols) topology
+    | Gaspard -> on_device (frame_via_gaspard rows cols) topology
+  in
   let sched = Gpu.Sched.create topology in
   let frame_us =
     Gpu.Topology.transfer_time_us topology ~src:Gpu.Topology.Host
       ~dst:(Gpu.Topology.Dev 0)
       ~bytes:(3 * 4 * rows * cols)
   in
-  let devsel_of n =
-    let d =
-      Gpu.Sched.place sched
-        ~name:(Printf.sprintf "frame %d" n)
-        ~us_of:(fun _ -> frame_us)
-    in
-    {
-      ds_ordinal = d.Gpu.Sched.ordinal;
-      ds_topology = topology;
-      ds_device = Gpu.Topology.device topology d.Gpu.Sched.ordinal;
-    }
+  let place n =
+    (Gpu.Sched.place sched
+       ~name:(Printf.sprintf "frame %d" n)
+       ~us_of:(fun _ -> frame_us))
+      .Gpu.Sched.ordinal
   in
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let pool = Gpu.Pool.get () in
@@ -142,13 +119,13 @@ let main (rows, cols) frames pipeline out_dir domains devices device_profile opt
       Gpu.Pool.map_list pool
         (List.init count (fun i ->
              let n = !next + i in
-             let ds = devsel_of n in
+             let ordinal = place n in
              fun () ->
                let frame = Video.Framegen.frame fmt n in
-               let scaled, events = run ds frame in
+               let scaled, events = run ordinal frame in
                let reference = Video.Downscaler.frame frame in
                ( n,
-                 ds.ds_ordinal,
+                 ordinal,
                  scaled,
                  Video.Quality.frame_psnr scaled reference,
                  events )))

@@ -128,19 +128,22 @@ let main input builtin from_model generic (rows, cols) emit entry verify
         end
     | Run ->
         let plan, _ = Sac_cuda.Compile.plan_of_source source ~entry in
-        let rt = Cuda.Runtime.init () in
+        let ctx = Gpu.Context.create () in
         let frame =
           match plan.Sac_cuda.Plan.params with
           | [ (name, shape) ] ->
+              (* Axis k weighs k + 1: (i + 2j) mod 251 at rank 2. *)
               ( name,
                 Ndarray.Tensor.init shape (fun idx ->
-                    (idx.(0) + (2 * idx.(1))) mod 251) )
+                    let v = ref 0 in
+                    Array.iteri (fun k i -> v := !v + ((k + 1) * i)) idx;
+                    !v mod 251) )
           | _ ->
               Printf.eprintf "--emit run expects a single-array-input program\n";
               exit 2
         in
         let outcome =
-          Sac_cuda.Exec.run rt plan
+          Sac_cuda.Exec.run ctx plan
             ~liveness:(Optimizer.Mode.liveness (Optimizer.Mode.default ()))
             ~args:[ frame ]
         in
@@ -148,11 +151,11 @@ let main input builtin from_model generic (rows, cols) emit entry verify
           outcome.Sac_cuda.Exec.kernel_launches
           (Ndarray.Shape.to_string
              (Ndarray.Tensor.shape outcome.Sac_cuda.Exec.result));
-        Gpu.Trace_export.register ~name:"sacc run"
-          (Gpu.Context.timeline (Cuda.Runtime.context rt));
+        let timeline = Gpu.Context.timeline ctx in
+        Gpu.Trace_export.register ~name:"sacc run" timeline;
         print_string
           (Gpu.Profiler.to_string ~title:"Simulated device profile:"
-             (Cuda.Runtime.profile rt)));
+             (Gpu.Profiler.rows timeline)));
     !lint_code
   with
   | Sac.Lexer.Lex_error m | Sac.Parser.Parse_error m ->

@@ -42,8 +42,8 @@ let () =
   Printf.printf "compiled edge detector: %d kernel(s)\n"
     (Sac_cuda.Plan.kernel_count plan);
   print_string (Sac_cuda.Emit_cu.source ~name:"edge_detect" plan);
-  let rt = Cuda.Runtime.init () in
-  let outcome = Sac_cuda.Exec.run rt plan ~args:[ ("image", image) ] in
+  let ctx = Gpu.Context.create () in
+  let outcome = Sac_cuda.Exec.run ctx plan ~args:[ ("image", image) ] in
   let edges = outcome.Sac_cuda.Exec.result in
   (* Cross-check against the interpreter (the semantic reference). *)
   let interpreted =

@@ -27,11 +27,11 @@ let () =
     "\nSAC route: WLF performed %d folds; backend created %d kernels\n"
     report.Sac.Pipeline.wlf_rounds
     (Sac_cuda.Plan.kernel_count plan);
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   let sac_result =
     Video.Frame.map_planes
       (fun _ plane ->
-        (Sac_cuda.Exec.run rt plan ~args:[ ("frame", plane) ])
+        (Sac_cuda.Exec.run ctx plan ~args:[ ("frame", plane) ])
           .Sac_cuda.Exec.result)
       frame
   in
@@ -39,7 +39,7 @@ let () =
     (Video.Frame.equal sac_result reference);
   print_string
     (Gpu.Profiler.to_string ~title:"SAC device profile (1 frame):"
-       (Cuda.Runtime.profile rt));
+       (Gpu.Profiler.rows (Gpu.Context.timeline ctx)));
 
   (* Route 2: ArrayOL model -> Gaspard2 -> OpenCL. *)
   let gen =
@@ -47,7 +47,7 @@ let () =
       (Mde.Chain.downscaler_model ~rows:fmt.Video.Format.rows
          ~cols:fmt.Video.Format.cols)
   in
-  let ctx = Opencl.Runtime.create_context () in
+  let ctx = Gpu.Context.create () in
   let outs =
     Mde.Chain.run ctx gen
       ~label_of:Mde.Chain.downscaler_label
@@ -71,7 +71,7 @@ let () =
     (Video.Frame.equal sac_result gaspard_result);
   print_string
     (Gpu.Profiler.to_string ~title:"Gaspard2 device profile (1 frame):"
-       (Opencl.Runtime.profile ctx));
+       (Gpu.Profiler.rows (Gpu.Context.timeline ctx)));
 
   (* Write the result where an image viewer can find it. *)
   let out = Filename.temp_file "downscaled" ".ppm" in

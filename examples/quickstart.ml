@@ -65,13 +65,14 @@ let () =
     report.Sac.Pipeline.wlf_rounds
     (Sac_cuda.Plan.kernel_count plan);
   let frame = Tensor.init [| 18; 16 |] (fun i -> (i.(0) + i.(1)) mod 251) in
-  let rt = Cuda.Runtime.init () in
-  let outcome = Sac_cuda.Exec.run rt plan ~args:[ ("frame", frame) ] in
+  let ctx = Gpu.Context.create () in
+  let outcome = Sac_cuda.Exec.run ctx plan ~args:[ ("frame", frame) ] in
   Printf.printf "output shape: %s; bit-exact with reference: %b\n"
     (Shape.to_string (Tensor.shape outcome.Sac_cuda.Exec.result))
     (Tensor.equal Int.equal outcome.Sac_cuda.Exec.result
        (Video.Downscaler.horizontal frame));
-  print_string (Gpu.Profiler.to_string (Cuda.Runtime.profile rt))
+  print_string
+    (Gpu.Profiler.to_string (Gpu.Profiler.rows (Gpu.Context.timeline ctx)))
 
 (* 4. Gaspard2: model -> transformation chain -> OpenCL. *)
 let () =

@@ -49,12 +49,12 @@ let () =
            then 800
            else 0))
   in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   let total t = Tensor.fold ( + ) 0 t in
   Printf.printf "step %3d: total heat %d, centre %d\n" 0 (total !grid)
     (Tensor.get !grid [| n / 2; n / 2 |]);
   for step = 1 to steps do
-    let outcome = Sac_cuda.Exec.run rt plan ~args:[ ("grid", !grid) ] in
+    let outcome = Sac_cuda.Exec.run ctx plan ~args:[ ("grid", !grid) ] in
     grid := outcome.Sac_cuda.Exec.result;
     if step mod 10 = 0 then
       Printf.printf "step %3d: total heat %d, centre %d\n" step (total !grid)
@@ -68,4 +68,4 @@ let () =
   print_string
     (Gpu.Profiler.to_string
        ~title:(Printf.sprintf "Device profile (%d steps):" steps)
-       (Cuda.Runtime.profile rt))
+       (Gpu.Profiler.rows (Gpu.Context.timeline ctx)))

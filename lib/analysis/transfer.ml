@@ -4,7 +4,9 @@
    kernel output, a fill); a host name or a device buffer holds one of
    them, and a Copy shares its source's number.  So a value counts as
    read whichever name or buffer it is read through, and "a live
-   buffer already holds it" is a lookup by number. *)
+   buffer already holds it" is a lookup by number.  A Download binds
+   its host name afresh, so two downloads of one value are two
+   bindings, each read or not on its own. *)
 
 module C = Gpu.C_print
 
@@ -16,10 +18,15 @@ type access = {
 
 let no_access = { reads = []; writes = []; copies = [] }
 
-(* [download]: the step and host name of an unread Download of it *)
-type value = { mutable used : bool; mutable download : (string * string) option }
+type value = { mutable used : bool }
 
-type binding = { id : int; on_host : bool }
+(* [unread]: the step and host name of the Download that made this
+   binding, until the host reads it through any name sharing it *)
+type binding = {
+  id : int;
+  on_host : bool;
+  mutable unread : (string * string) option;
+}
 
 type buffer = Allocated | Holds of int | Freed
 
@@ -37,11 +44,12 @@ let check ?(file = "host") ?(defines = fun _ -> None) ~inputs ~outputs ~route
   let bufs = Hashtbl.create 16 in
   let fresh () =
     let id = Hashtbl.length values in
-    Hashtbl.replace values id { used = false; download = None };
+    Hashtbl.replace values id { used = false };
     id
   in
   let value id = Hashtbl.find values id in
-  let bind n id on_host = Hashtbl.replace names n { id; on_host } in
+  let bind n id on_host = Hashtbl.replace names n { id; on_host; unread = None } in
+  let downloads = ref [] in
   let held id = Hashtbl.fold (fun _ b acc -> acc || b = Holds id) bufs false in
   (* host code that wrote values: dead when none of them is read *)
   let writers = ref [] in
@@ -49,9 +57,9 @@ let check ?(file = "host") ?(defines = fun _ -> None) ~inputs ~outputs ~route
   let host_read where n =
     match Hashtbl.find_opt names n with
     | None -> undefined where "reads %s before any step defines it" n
-    | Some { id; on_host } ->
+    | Some ({ id; on_host; _ } as b) ->
         (value id).used <- true;
-        if on_host then (value id).download <- None
+        if on_host then b.unread <- None
         else if held id then
           report Missing_d2h Error where
             "reads %s, which only the device holds: no device-to-host \
@@ -98,8 +106,9 @@ let check ?(file = "host") ?(defines = fun _ -> None) ~inputs ~outputs ~route
       | C.Download { dst; src; _ } ->
           Option.iter
             (fun id ->
-              bind dst id true;
-              (value id).download <- Some (where, dst))
+              let b = { id; on_host = true; unread = Some (where, dst) } in
+              Hashtbl.replace names dst b;
+              downloads := b :: !downloads)
             (contents where src)
       | C.Fill { dst; _ } -> write where dst (fresh ())
       | C.Launch { kernel; args; _ } ->
@@ -142,18 +151,19 @@ let check ?(file = "host") ?(defines = fun _ -> None) ~inputs ~outputs ~route
   List.iter
     (fun n ->
       match Hashtbl.find_opt names n with
-      | Some { id; on_host = true } ->
+      | Some ({ id; on_host = true; _ } as b) ->
           (value id).used <- true;
-          (value id).download <- None
+          b.unread <- None
       | _ -> undefined "end" "the output %s is never on the host" n)
     outputs;
-  for id = 0 to Hashtbl.length values - 1 do
-    Option.iter
-      (fun (where, n) ->
-        report Redundant_transfer Warning where
-          "downloads %s, which nothing on the host reads" n)
-      (value id).download
-  done;
+  List.iter
+    (fun b ->
+      Option.iter
+        (fun (where, n) ->
+          report Redundant_transfer Warning where
+            "downloads %s, which nothing on the host reads" n)
+        b.unread)
+    (List.rev !downloads);
   List.iter
     (fun (where, ns, ids) ->
       if not (List.exists (fun id -> (value id).used) ids) then

@@ -8,7 +8,7 @@ let create ?mode topology =
     topology;
     contexts =
       Array.init (Topology.device_count topology) (fun i ->
-          Context.create ?mode ~ordinal:i ~topology (Topology.device topology i));
+          Context.create ?mode ~ordinal:i ~topology ());
   }
 
 let uniform ?mode ~devices profile =

@@ -107,15 +107,20 @@ let dev_metrics_of ordinal =
     dm_high_water = Obs.Metrics.gauge (name "alloc_high_water_bytes");
   }
 
-let create ?mode ?(ordinal = 0) ?topology spec =
+let create ?mode ?(ordinal = 0) ?topology ?device () =
   let topology =
-    match topology with Some t -> t | None -> Topology.single spec
+    match topology with
+    | Some t -> t
+    | None -> Topology.single (Option.value device ~default:Device.gtx480)
   in
   if ordinal < 0 || ordinal >= Topology.device_count topology then
     invalid_arg
       (Printf.sprintf "Context.create: ordinal %d outside topology (%d devices)"
          ordinal
          (Topology.device_count topology));
+  let spec =
+    match device with Some d -> d | None -> Topology.device topology ordinal
+  in
   {
     spec;
     ordinal;

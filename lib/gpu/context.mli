@@ -1,8 +1,10 @@
 (** A live simulated device: memory, execution and a timeline.
 
-    Both runtime facades ([Cuda] and [Opencl]) drive a [Context]; the
-    context executes kernels functionally (results are bit-exact) and
-    charges modelled time to its {!Timeline}. *)
+    The one device handle of both routes: SAC plans
+    ([Sac_cuda.Exec.run]) and Gaspard2 programs ([Mde.Chain.run]) run
+    their host programs on a context, which executes kernels
+    functionally (results are bit-exact) and charges modelled time to
+    its {!Timeline}. *)
 
 type exec_mode =
   | Sequential
@@ -31,11 +33,19 @@ val set_default_mode : exec_mode -> unit
 
 val default_mode : unit -> exec_mode
 
-val create : ?mode:exec_mode -> ?ordinal:int -> ?topology:Topology.t -> Device.t -> t
-(** A context simulates one device of a machine.  [ordinal] (default 0)
-    is its position in [topology] (default [Topology.single spec]);
-    transfer times are routed through the topology's links and the
-    per-device [gpu.dev<ordinal>.*] metrics are registered here.
+val create :
+  ?mode:exec_mode ->
+  ?ordinal:int ->
+  ?topology:Topology.t ->
+  ?device:Device.t ->
+  unit ->
+  t
+(** A context simulates one device of a machine.  [ordinal] (default
+    0) is its position in [topology] (default [Topology.single device]);
+    [device] defaults to the topology's device at [ordinal], and to the
+    paper's {!Device.gtx480} when neither is given.  Transfer times are
+    routed through the topology's links and the per-device
+    [gpu.dev<ordinal>.*] metrics are registered here.
     Raises [Invalid_argument] when [ordinal] is outside the topology. *)
 
 val device : t -> Device.t

@@ -16,9 +16,7 @@ let fingerprint (g : Codegen.generated) =
 (* ------------------------------------------------------------------ *)
 
 let modelled_us ?device (gen : Codegen.generated) =
-  let ctx =
-    Opencl.Runtime.create_context ~mode:Gpu.Context.Timing_only ?device ()
-  in
+  let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only ?device () in
   let inputs =
     List.map
       (fun (p : Arrayol.Model.port) ->
@@ -28,7 +26,7 @@ let modelled_us ?device (gen : Codegen.generated) =
       gen.Codegen.boundary_inputs
   in
   ignore (Exec.run ctx gen ~inputs);
-  Opencl.Runtime.elapsed_us ctx
+  Gpu.Context.elapsed_us ctx
 
 (* ------------------------------------------------------------------ *)
 (* View                                                                *)

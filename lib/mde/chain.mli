@@ -29,7 +29,7 @@ exception Run_error of string
 val run :
   ?label_of:(string -> string) ->
   ?liveness:bool ->
-  Opencl.Runtime.context ->
+  Gpu.Context.t ->
   Codegen.generated ->
   inputs:(string * int Ndarray.Tensor.t) list ->
   (string * int Ndarray.Tensor.t) list

@@ -30,8 +30,7 @@ let run ?(label_of = fun task_name -> task_name) ?liveness ctx
       (Codegen.host_steps ?liveness gen)
   in
   (try
-     Gpu.Host_run.run
-       (Opencl.Runtime.gpu_context ctx)
+     Gpu.Host_run.run ctx
        {
          Gpu.Host_run.read = Hashtbl.find mem;
          write = Hashtbl.replace mem;

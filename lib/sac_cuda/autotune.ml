@@ -15,7 +15,7 @@ let strip_labels (p : Plan.t) =
   }
 
 let modelled_us ?device (p : Plan.t) =
-  let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only ?device () in
+  let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only ?device () in
   let args =
     List.map
       (fun (n, shape) ->
@@ -23,8 +23,8 @@ let modelled_us ?device (p : Plan.t) =
         (n, Tensor.of_array shape data))
       p.Plan.params
   in
-  let outcome = Exec.run ~host_mode:`Estimate rt p ~args in
-  Cuda.Runtime.elapsed_us rt +. outcome.Exec.host_us
+  let outcome = Exec.run ~host_mode:`Estimate ctx p ~args in
+  Gpu.Context.elapsed_us ctx +. outcome.Exec.host_us
 
 let item_threads kernels =
   List.fold_left

@@ -27,4 +27,4 @@ val tune : ?device:Gpu.Device.t -> Plan.t -> Plan.t * Gpu.Fuse.stats * string li
     the winning rule path (empty when the compiled plan is already
     best).  Consults the process-wide tuned-plan cache first; on a miss
     the search runs once and its winner is memoised.  Default device:
-    the paper's GTX480 (matching {!Cuda.Runtime.init}). *)
+    the paper's GTX480 (matching {!Gpu.Context.create}). *)

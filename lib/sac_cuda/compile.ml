@@ -72,6 +72,20 @@ let plan ?(label_of = Kernelize.sanitize) ?(split_generators = true)
       | Sac.Ast.Assign (x, Sac.Ast.With w) -> (
           try
             let sw = Sac.Scalarize.with_loop !senv w in
+            (* A kernel writes every member of its generator into the
+               result buffer, so a generator must lie inside the frame. *)
+            List.iter
+              (fun ({ space = g; _ } : Sac.Scalarize.sgen) ->
+                if
+                  Sac.Genspace.count g > 0
+                  && (Array.exists (fun l -> l < 0) g.lb
+                     || Array.exists2 ( < ) sw.Sac.Scalarize.frame g.ub)
+                then
+                  fail "with-loop %s: generator %a <= iv < %a lies outside \
+                        its result shape %s"
+                    x Ndarray.Index.pp g.lb Ndarray.Index.pp g.ub
+                    (Ndarray.Shape.to_string sw.Sac.Scalarize.frame))
+              sw.Sac.Scalarize.sgens;
             let sw =
               if split_generators then Sac.Split_gens.normalize sw else sw
             in

@@ -8,7 +8,7 @@ type outcome = {
 
 let fail fmt = Printf.ksprintf invalid_arg ("sac_cuda exec: " ^^ fmt)
 
-let run_context ?(host_mode = `Execute) ?(liveness = false) ?plane_tag ctx
+let run ?(host_mode = `Execute) ?(liveness = false) ?plane_tag ctx
     (plan : Plan.t) ~args =
   Obs.Tracer.with_span ~cat:"sac" "sac.exec_plan" @@ fun () ->
   (* Host memory, by host name.  Arguments are bound without a copy:
@@ -119,7 +119,3 @@ let run_context ?(host_mode = `Execute) ?(liveness = false) ?plane_tag ctx
     else result
   in
   { result; host_us = !host_us; kernel_launches = Plan.kernel_count plan }
-
-let run ?host_mode ?liveness ?plane_tag rt plan ~args =
-  run_context ?host_mode ?liveness ?plane_tag (Cuda.Runtime.context rt) plan
-    ~args

@@ -13,7 +13,7 @@ type outcome = {
   kernel_launches : int;
 }
 
-val run_context :
+val run :
   ?host_mode:[ `Execute | `Estimate ] ->
   ?liveness:bool ->
   ?plane_tag:string ->
@@ -21,30 +21,19 @@ val run_context :
   Plan.t ->
   args:(string * int Ndarray.Tensor.t) list ->
   outcome
-(** Execute a plan on a simulated device; plans are target-neutral, so
-    the CUDA, OpenCL and Metal facades all run them through their
-    context.  [liveness] (default [false]) frees each device buffer
+(** Execute a plan on a simulated device.  Plans are target-neutral:
+    the CUDA, OpenCL and Metal emitters print the same host program
+    this runs.  Device events (kernels and copies) are recorded on the
+    context's timeline; the returned tensor is the program result,
+    bit-exact with the interpreter.  Arguments are not copied; the
+    result is a fresh tensor even when the program returns an
+    argument.  Raises [Invalid_argument] on missing or mis-shaped
+    arguments.  [liveness] (default [false]) frees each device buffer
     right after its last use ({!Host_walk.of_plan}), enabled by callers
-    running optimised plans ({!Optimizer.Mode.liveness}).  Arguments
-    are not copied; the result is a fresh tensor even when the program
-    returns an argument. *)
-
-val run :
-  ?host_mode:[ `Execute | `Estimate ] ->
-  ?liveness:bool ->
-  ?plane_tag:string ->
-  Cuda.Runtime.t ->
-  Plan.t ->
-  args:(string * int Ndarray.Tensor.t) list ->
-  outcome
-(** {!run_context} on the CUDA runtime's context.  Device events
-    (kernels and copies) are recorded on the runtime's timeline; the
-    returned tensor is the program result, bit-exact with the
-    interpreter.  Raises [Invalid_argument] on missing or mis-shaped
-    arguments.  [`Estimate] (for timing-only runs at paper scale)
-    charges host blocks by {!Host_cost} sampling instead of full
-    interpretation; the returned tensor is then not meaningful.
-    Default [`Execute].  [plane_tag] marks this run's kernel launches
+    running optimised plans ({!Optimizer.Mode.liveness}).  [`Estimate]
+    (for timing-only runs at paper scale) charges host blocks by
+    {!Host_cost} sampling instead of full interpretation; the returned
+    tensor is then not meaningful.  Default [`Execute].  [plane_tag] marks this run's kernel launches
     as belonging to one colour plane ([kernel@tag] in the profile), so
     the profiler reports per-frame rounds the way the paper's tables
     do. *)

@@ -1,7 +1,3 @@
-let run ?host_mode ?liveness ?plane_tag dev plan ~args =
-  Sac_cuda.Exec.run_context ?host_mode ?liveness ?plane_tag
-    (Metal.Runtime.gpu_context dev) plan ~args
-
 type sources = { metal : string; host : string; makefile : string }
 
 let sources ~name plan =

@@ -2,25 +2,9 @@
     model.
 
     Compiled SAC plans are target-neutral ({!Sac_cuda.Plan.t} holds
-    kernel IR), so the same plan that runs on the CUDA and OpenCL
-    facades' devices also executes on the Metal facade's device —
-    bit-exact by construction, since all three run the same host walk
-    ({!Sac_cuda.Host_walk}) on one functional evaluator — and prints as
-    a [.metal] translation unit plus metal-cpp host program and
-    Makefile. *)
-
-val run :
-  ?host_mode:[ `Execute | `Estimate ] ->
-  ?liveness:bool ->
-  ?plane_tag:string ->
-  Metal.Runtime.device ->
-  Sac_cuda.Plan.t ->
-  args:(string * int Ndarray.Tensor.t) list ->
-  Sac_cuda.Exec.outcome
-(** {!Sac_cuda.Exec.run_context} on the Metal device's context, so
-    bit-exact with {!Sac_cuda.Exec.run} and the OpenCL backend
-    (asserted in runtest); events land on the Metal device's
-    timeline. *)
+    kernel IR), so the plan {!Sac_cuda.Exec.run} executes also prints
+    as a [.metal] translation unit plus metal-cpp host program and
+    Makefile, from the same host walk ({!Sac_cuda.Host_walk}). *)
 
 type sources = { metal : string; host : string; makefile : string }
 

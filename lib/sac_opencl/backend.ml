@@ -1,7 +1,3 @@
-let run ?host_mode ?liveness ?plane_tag ctx plan ~args =
-  Sac_cuda.Exec.run_context ?host_mode ?liveness ?plane_tag
-    (Opencl.Runtime.gpu_context ctx) plan ~args
-
 type sources = { cl : string; host : string; makefile : string }
 
 let sources ~name plan =

@@ -5,23 +5,10 @@
     "despite the differences ... in the final GPU-specific targets,
     performance benefits of both approaches are comparable".  This
     module closes the square: compiled SAC plans are target-neutral
-    ({!Sac_cuda.Plan.t} holds kernel IR), so the same plan can execute
-    on the OpenCL facade's device and be emitted as [.cl] + host
-    [.cpp] + [Makefile] sources.  Both come from the one host walk
-    ({!Sac_cuda.Host_walk}): the host program printed here is the one
-    {!run} executes. *)
-
-val run :
-  ?host_mode:[ `Execute | `Estimate ] ->
-  ?liveness:bool ->
-  ?plane_tag:string ->
-  Opencl.Runtime.context ->
-  Sac_cuda.Plan.t ->
-  args:(string * int Ndarray.Tensor.t) list ->
-  Sac_cuda.Exec.outcome
-(** {!Sac_cuda.Exec.run_context} on the OpenCL context's device, so
-    bit-exact with {!Sac_cuda.Exec.run} (property-tested); events land
-    on the OpenCL context's timeline. *)
+    ({!Sac_cuda.Plan.t} holds kernel IR), so the same plan is emitted
+    as [.cl] + host [.cpp] + [Makefile] sources.  The host program
+    comes from the one host walk ({!Sac_cuda.Host_walk}), so it is the
+    one {!Sac_cuda.Exec.run} executes. *)
 
 type sources = { cl : string; host : string; makefile : string }
 

@@ -199,39 +199,36 @@ let run_frame t frame =
   let affinity = placement t in
   let ordinal = Option.map snd affinity in
   let topology = Option.map fst affinity in
-  let device =
-    Option.map (fun (topo, o) -> Gpu.Topology.device topo o) affinity
+  let on_device run =
+    let ctx = Gpu.Context.create ?ordinal ?topology () in
+    let scaled = run ctx in
+    (scaled, Gpu.Timeline.events (Gpu.Context.timeline ctx))
   in
   match t.runner with
   | Custom_fn f -> (f frame, [])
   | Sac_plan plan ->
-      let rt = Cuda.Runtime.init ?ordinal ?topology ?device () in
-      let scaled =
-        Video.Frame.map_planes
-          (fun ch plane ->
-            (Sac_cuda.Exec.run rt plan ~liveness
-               ~plane_tag:(Video.Frame.channel_name ch)
-               ~args:[ ("frame", plane) ])
-              .Sac_cuda.Exec.result)
-          frame
-      in
-      ( scaled,
-        Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt)) )
+      on_device (fun ctx ->
+          Video.Frame.map_planes
+            (fun ch plane ->
+              (Sac_cuda.Exec.run ctx plan ~liveness
+                 ~plane_tag:(Video.Frame.channel_name ch)
+                 ~args:[ ("frame", plane) ])
+                .Sac_cuda.Exec.result)
+            frame)
   | Mde_gen gen ->
-      let ctx = Opencl.Runtime.create_context ?ordinal ?topology ?device () in
-      let outs =
-        Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label ~liveness
-          ~inputs:
-            [
-              ("r_in", Video.Frame.plane frame Video.Frame.R);
-              ("g_in", Video.Frame.plane frame Video.Frame.G);
-              ("b_in", Video.Frame.plane frame Video.Frame.B);
-            ]
-      in
-      ( {
-          Video.Frame.r = List.assoc "r_out" outs;
-          g = List.assoc "g_out" outs;
-          b = List.assoc "b_out" outs;
-        },
-        Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx))
-      )
+      on_device (fun ctx ->
+          let outs =
+            Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label
+              ~liveness
+              ~inputs:
+                [
+                  ("r_in", Video.Frame.plane frame Video.Frame.R);
+                  ("g_in", Video.Frame.plane frame Video.Frame.G);
+                  ("b_in", Video.Frame.plane frame Video.Frame.B);
+                ]
+          in
+          {
+            Video.Frame.r = List.assoc "r_out" outs;
+            g = List.assoc "g_out" outs;
+            b = List.assoc "b_out" outs;
+          })

@@ -258,14 +258,14 @@ let validate ?(scale = Scale.validation) () =
     check "SAC-CUDA plan (non-generic) = reference" (fun () ->
         let src = Sac.Programs.downscaler ~generic:false ~rows ~cols in
         let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
-        let rt = Cuda.Runtime.init () in
-        let outcome = Sac_cuda.Exec.run rt plan ~args:[ ("frame", plane) ] in
+        let ctx = Gpu.Context.create () in
+        let outcome = Sac_cuda.Exec.run ctx plan ~args:[ ("frame", plane) ] in
         tensor_eq outcome.Sac_cuda.Exec.result reference);
     check "SAC-CUDA plan (generic) = reference" (fun () ->
         let src = Sac.Programs.downscaler ~generic:true ~rows ~cols in
         let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
-        let rt = Cuda.Runtime.init () in
-        let outcome = Sac_cuda.Exec.run rt plan ~args:[ ("frame", plane) ] in
+        let ctx = Gpu.Context.create () in
+        let outcome = Sac_cuda.Exec.run ctx plan ~args:[ ("frame", plane) ] in
         tensor_eq outcome.Sac_cuda.Exec.result reference);
     check "ArrayOL semantics = reference" (fun () ->
         tensor_eq
@@ -277,7 +277,7 @@ let validate ?(scale = Scale.validation) () =
         let gen =
           Mde.Chain.transform_exn (Mde.Chain.downscaler_model ~rows ~cols)
         in
-        let ctx = Opencl.Runtime.create_context () in
+        let ctx = Gpu.Context.create () in
         let outs =
           Mde.Chain.run ctx gen
             ~inputs:
@@ -339,11 +339,10 @@ let fusion ?(scale = Scale.validation) () =
     let opt = if fused then Optimizer.Mode.Fuse else Optimizer.Mode.Off in
     let src = Sac.Programs.downscaler ~generic:false ~rows ~cols in
     let plan, _ = Sac_cuda.Compile.plan_of_source ~opt src ~entry:"main" in
-    let rt = Cuda.Runtime.init () in
+    let ctx = Gpu.Context.create () in
     let outcome =
-      Sac_cuda.Exec.run ~liveness:fused rt plan ~args:[ ("frame", plane) ]
+      Sac_cuda.Exec.run ~liveness:fused ctx plan ~args:[ ("frame", plane) ]
     in
-    let ctx = Cuda.Runtime.context rt in
     {
       pipeline = "SAC -> CUDA (non-generic)";
       fused;
@@ -367,7 +366,7 @@ let fusion ?(scale = Scale.validation) () =
     let gen =
       Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
     in
-    let ctx = Opencl.Runtime.create_context () in
+    let ctx = Gpu.Context.create () in
     let outs =
       Mde.Chain.run ~liveness:fused ctx gen
         ~inputs:
@@ -377,13 +376,12 @@ let fusion ?(scale = Scale.validation) () =
             ("b_in", Video.Frame.plane frame Video.Frame.B);
           ]
     in
-    let gctx = Opencl.Runtime.gpu_context ctx in
     let launches =
       List.length
         (List.filter
            (fun (e : Gpu.Timeline.event) ->
              e.Gpu.Timeline.kind = Gpu.Timeline.Kernel)
-           (Gpu.Timeline.events (Gpu.Context.timeline gctx)))
+           (Gpu.Timeline.events (Gpu.Context.timeline ctx)))
     in
     let feeds_boundary inst port =
       List.exists
@@ -411,8 +409,8 @@ let fusion ?(scale = Scale.validation) () =
                      not (feeds_boundary kt.Mde.Codegen.instance port))
                    kt.Mde.Codegen.output_ports))
           0 gen.Mde.Codegen.kernel_tasks;
-      peak_bytes = Gpu.Context.peak_bytes gctx;
-      modelled_us = Gpu.Context.elapsed_us gctx;
+      peak_bytes = Gpu.Context.peak_bytes ctx;
+      modelled_us = Gpu.Context.elapsed_us ctx;
       bit_identical =
         List.for_all
           (fun (port, ch) ->
@@ -489,8 +487,8 @@ let autotune ?(shapes = [ (72, 64); (288, 352); (1080, 1920) ]) () =
         in
         let reference = Video.Downscaler.plane plane in
         let run plan liveness =
-          let rt = Cuda.Runtime.init () in
-          (Sac_cuda.Exec.run ~liveness rt plan ~args:[ ("frame", plane) ])
+          (Sac_cuda.Exec.run ~liveness (Gpu.Context.create ()) plan
+             ~args:[ ("frame", plane) ])
             .Sac_cuda.Exec.result
         in
         Some
@@ -516,7 +514,7 @@ let autotune ?(shapes = [ (72, 64); (288, 352); (1080, 1920) ]) () =
         let frame = Video.Framegen.frame fmt 0 in
         let expected = Video.Downscaler.frame frame in
         let run gen liveness =
-          let ctx = Opencl.Runtime.create_context () in
+          let ctx = Gpu.Context.create () in
           Mde.Chain.run ~liveness ctx gen
             ~inputs:
               [
@@ -563,13 +561,12 @@ let overlap ?(scale = Scale.paper) () =
       Ndarray.Tensor.init [| rows; cols |] (fun idx ->
           (idx.(0) + (2 * idx.(1))) mod 251)
     in
-    let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only () in
+    let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only () in
     ignore
-      (Sac_cuda.Exec.run ~host_mode:`Estimate rt plan
+      (Sac_cuda.Exec.run ~host_mode:`Estimate ctx plan
          ~args:[ ("frame", plane) ]);
     (* The SAC route processes one plane per round. *)
-    Gpu.Overlap.of_timeline
-      (Gpu.Context.timeline (Cuda.Runtime.context rt))
+    Gpu.Overlap.of_timeline (Gpu.Context.timeline ctx)
       ~rounds:(Scale.planes * scale.Scale.frames)
   in
   let gaspard =
@@ -639,14 +636,12 @@ let devices ?(scale = Scale.paper) ?(counts = [ 1; 2; 4 ]) () =
             ~name:(Printf.sprintf "frame %d" f)
             ~us_of:(fun _ -> frame_us)
         in
-        let rt =
-          Cuda.Runtime.init ~ordinal:d.Gpu.Sched.ordinal ~topology ()
-        in
+        let ctx = Gpu.Context.create ~ordinal:d.Gpu.Sched.ordinal ~topology () in
         let frame = Video.Framegen.frame fmt f in
         let scaled =
           Video.Frame.map_planes
             (fun _ p ->
-              (Sac_cuda.Exec.run rt vplan ~args:[ ("frame", p) ])
+              (Sac_cuda.Exec.run ctx vplan ~args:[ ("frame", p) ])
                 .Sac_cuda.Exec.result)
             frame
         in
@@ -658,9 +653,9 @@ let devices ?(scale = Scale.paper) ?(counts = [ 1; 2; 4 ]) () =
     (fun n ->
       let topology = Gpu.Topology.uniform ~devices:n profile in
       let sched = Gpu.Sched.create topology in
-      let rts =
+      let ctxs =
         Array.init n (fun ordinal ->
-            Cuda.Runtime.init ~mode:Gpu.Context.Timing_only ~ordinal ~topology
+            Gpu.Context.create ~mode:Gpu.Context.Timing_only ~ordinal ~topology
               ())
       in
       let frame_us =
@@ -679,32 +674,27 @@ let devices ?(scale = Scale.paper) ?(counts = [ 1; 2; 4 ]) () =
         per_dev_frames.(o) <- per_dev_frames.(o) + 1;
         for _plane = 1 to Scale.planes do
           ignore
-            (Sac_cuda.Exec.run ~host_mode:`Estimate rts.(o) plan
+            (Sac_cuda.Exec.run ~host_mode:`Estimate ctxs.(o) plan
                ~args:[ ("frame", plane) ])
         done
       done;
       (* Gather the secondary devices' scaled planes onto device 0
          (peer-link migrations, paid by the receiver). *)
-      let ctx0 = Cuda.Runtime.context rts.(0) in
       for o = 1 to n - 1 do
         if per_dev_frames.(o) > 0 then
-          Gpu.Context.record_d2d ctx0
+          Gpu.Context.record_d2d ctxs.(0)
             ~detail:
               (Printf.sprintf "gather dev%d (%d frame(s))" o per_dev_frames.(o))
             ~src:o
             ~bytes:(per_dev_frames.(o) * Scale.planes * out_bytes)
       done;
-      let per_dev_us =
-        Array.map
-          (fun rt -> Gpu.Context.elapsed_us (Cuda.Runtime.context rt))
-          rts
-      in
+      let per_dev_us = Array.map Gpu.Context.elapsed_us ctxs in
       let makespan = Array.fold_left Float.max 0.0 per_dev_us in
       let serial = Array.fold_left ( +. ) 0.0 per_dev_us in
       if !base_makespan = 0.0 then base_makespan := makespan;
       let pcie = ref 0 and peer = ref 0 in
       Array.iter
-        (fun rt ->
+        (fun ctx ->
           List.iter
             (fun (e : Gpu.Timeline.event) ->
               match e.Gpu.Timeline.kind with
@@ -712,9 +702,8 @@ let devices ?(scale = Scale.paper) ?(counts = [ 1; 2; 4 ]) () =
                   pcie := !pcie + e.Gpu.Timeline.bytes
               | Gpu.Timeline.Memcpy_d2d -> peer := !peer + e.Gpu.Timeline.bytes
               | Gpu.Timeline.Kernel -> ())
-            (Gpu.Timeline.events
-               (Gpu.Context.timeline (Cuda.Runtime.context rt))))
-        rts;
+            (Gpu.Timeline.events (Gpu.Context.timeline ctx)))
+        ctxs;
       {
         dv_devices = n;
         dv_rows = rows;

@@ -13,7 +13,7 @@ let run_once (s : Scale.t) =
       Mde.Chain.downscaler_model ~rows:s.Scale.rows ~cols:s.Scale.cols
     in
     let gen = Mde.Chain.transform_exn model in
-    let ctx = Opencl.Runtime.create_context ~mode:Gpu.Context.Timing_only () in
+    let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only () in
     let plane c =
       Ndarray.Tensor.init
         [| s.Scale.rows; s.Scale.cols |]
@@ -23,7 +23,7 @@ let run_once (s : Scale.t) =
       (Mde.Chain.run ctx gen ~label_of:Mde.Chain.downscaler_label
          ~inputs:
            [ ("r_in", plane 0); ("g_in", plane 1); ("b_in", plane 2) ]);
-    Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx))
+    Gpu.Timeline.events (Gpu.Context.timeline ctx)
   in
   Mutex.lock events_lock;
   let hit = Hashtbl.find_opt events_tbl s in

@@ -93,14 +93,12 @@ let seq_us ~generic filter (s : Scale.t) =
 let cuda_events ~generic filter (s : Scale.t) =
   let src = source_of ~generic filter s in
   let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
-  let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only () in
+  let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only () in
   let outcome =
-    Sac_cuda.Exec.run ~host_mode:`Estimate rt plan
+    Sac_cuda.Exec.run ~host_mode:`Estimate ctx plan
       ~args:[ ("frame", dummy_plane filter s) ]
   in
-  let events =
-    Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt))
-  in
+  let events = Gpu.Timeline.events (Gpu.Context.timeline ctx) in
   (plan, events, outcome.Sac_cuda.Exec.host_us)
 
 (* Filter time: kernels + transfers *internal* to the filter (e.g. the
@@ -158,13 +156,12 @@ let full_pipeline_profile ~generic (s : Scale.t) =
     Gpu.Pool.map_list (Gpu.Pool.get ())
       (List.map
          (fun tag () ->
-           let rt = Cuda.Runtime.init ~mode:Gpu.Context.Timing_only () in
+           let ctx = Gpu.Context.create ~mode:Gpu.Context.Timing_only () in
            let outcome =
-             Sac_cuda.Exec.run ~host_mode:`Estimate ~plane_tag:tag rt plan
+             Sac_cuda.Exec.run ~host_mode:`Estimate ~plane_tag:tag ctx plan
                ~args:[ ("frame", plane) ]
            in
-           ( Gpu.Context.timeline (Cuda.Runtime.context rt),
-             outcome.Sac_cuda.Exec.host_us ))
+           (Gpu.Context.timeline ctx, outcome.Sac_cuda.Exec.host_us))
          [ "r"; "g"; "b" ])
   in
   let timeline = Gpu.Timeline.create () in

@@ -501,6 +501,25 @@ let test_transfer_unread_download () =
   Alcotest.(check bool) "redundant transfer" true
     (has_kind Analysis.Finding.Redundant_transfer fs)
 
+let test_transfer_duplicated_download () =
+  (* the result downloaded a second time, into a host name nothing
+     reads; the first download still feeds the output *)
+  let fs =
+    mutant_findings (downscaler_plan ~generic:false) (fun steps ->
+        let i = index_of is_download steps in
+        match List.nth steps i with
+        | C.Download d -> insert_at (i + 1) (C.Download { d with dst = "h_dup" }) steps
+        | _ -> assert false)
+  in
+  Alcotest.(check (list string)) "the second download is redundant"
+    [ "downloads h_dup, which nothing on the host reads" ]
+    (List.filter_map
+       (fun f ->
+         if f.Analysis.Finding.kind = Analysis.Finding.Redundant_transfer then
+           Some f.Analysis.Finding.what
+         else None)
+       fs)
+
 let test_transfer_early_free () =
   (* the input's free moved before the last launch that reads it *)
   let fs =
@@ -1230,6 +1249,8 @@ let () =
           Alcotest.test_case "dead-write" `Quick test_transfer_dead_write;
           Alcotest.test_case "unread-download" `Quick
             test_transfer_unread_download;
+          Alcotest.test_case "duplicated-result-download" `Quick
+            test_transfer_duplicated_download;
           Alcotest.test_case "early-free" `Quick test_transfer_early_free;
           Alcotest.test_case "gaspard-dropped-upload" `Quick
             test_transfer_gaspard_dropped_upload;

@@ -23,8 +23,8 @@ let run_sac src input =
 
 let exec_sac src input =
   let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
-  let rt = Cuda.Runtime.init () in
-  (Sac_cuda.Exec.run rt plan ~args:[ ("frame", input) ]).Sac_cuda.Exec.result
+  let ctx = Gpu.Context.create () in
+  (Sac_cuda.Exec.run ctx plan ~args:[ ("frame", input) ]).Sac_cuda.Exec.result
 
 let test_translated_h_matches_model () =
   let model = Arrayol.Downscaler_model.horizontal ~rows ~cols in

@@ -183,9 +183,9 @@ let interp prog v = Sac.Interp.run prog ~entry:"main" ~args:[ v ]
 
 let exec_plan ?split_generators prog v =
   let plan = Sac_cuda.Compile.plan ?split_generators (List.hd prog) in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   let outcome =
-    Sac_cuda.Exec.run rt plan ~args:[ ("a", Sac.Value.tensor_exn v) ]
+    Sac_cuda.Exec.run ctx plan ~args:[ ("a", Sac.Value.tensor_exn v) ]
   in
   Sac.Value.Varr outcome.Sac_cuda.Exec.result
 

@@ -103,7 +103,7 @@ let test_cl_source_shape () =
 (* ---------- Execution ---------- *)
 
 let run_frame ?liveness gen frame =
-  let ctx = Opencl.Runtime.create_context () in
+  let ctx = Gpu.Context.create () in
   let outs =
     Mde.Chain.run ?liveness ctx gen
       ~label_of:Mde.Chain.downscaler_label
@@ -130,7 +130,7 @@ let test_run_matches_reference () =
 let test_run_event_profile () =
   let gen = Mde.Chain.transform_exn (model ()) in
   let ctx, _ = run_frame gen (frame_of 1) in
-  let events = Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx)) in
+  let events = Gpu.Timeline.events (Gpu.Context.timeline ctx) in
   let count kind =
     List.length (List.filter (fun (e : Gpu.Timeline.event) -> e.Gpu.Timeline.kind = kind) events)
   in
@@ -140,7 +140,7 @@ let test_run_event_profile () =
   Alcotest.(check int) "3 uploads" 3 (count Gpu.Timeline.Memcpy_h2d);
   Alcotest.(check int) "3 downloads" 3 (count Gpu.Timeline.Memcpy_d2h);
   Alcotest.(check int) "6 kernel launches" 6 (count Gpu.Timeline.Kernel);
-  let rows = Gpu.Profiler.rows (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx)) in
+  let rows = Gpu.Profiler.rows (Gpu.Context.timeline ctx) in
   let find op = List.find_opt (fun (r : Gpu.Profiler.row) -> r.Gpu.Profiler.operation = op) rows in
   Alcotest.(check bool) "H. Filter (3 kernels) row" true
     (find "H. Filter (3 kernels)" <> None);
@@ -186,7 +186,7 @@ let test_fusion_fewer_launches () =
   let gen = Mde.Chain.transform_exn ~opt:Optimizer.Mode.Fuse (model ()) in
   let ctx, _ = run_frame ~liveness:true gen (frame_of 1) in
   let events =
-    Gpu.Timeline.events (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx))
+    Gpu.Timeline.events (Gpu.Context.timeline ctx)
   in
   let launches =
     List.length
@@ -232,7 +232,7 @@ let test_emitted_is_executed () =
       let gen =
         Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
       in
-      let ctx = Opencl.Runtime.create_context () in
+      let ctx = Gpu.Context.create () in
       ignore
         (Mde.Chain.run ctx gen
            ~liveness:(Optimizer.Mode.liveness opt)
@@ -250,7 +250,7 @@ let test_emitted_is_executed () =
             | Gpu.Timeline.Kernel | Gpu.Timeline.Memcpy_d2d ->
                 ("kernel", e.Gpu.Timeline.detail))
           (Gpu.Timeline.events
-             (Gpu.Context.timeline (Opencl.Runtime.gpu_context ctx)))
+             (Gpu.Context.timeline ctx))
       in
       Alcotest.(check int) "three planes uploaded" 3
         (List.length (List.filter (fun (k, _) -> k = "h2d") executed));
@@ -262,7 +262,7 @@ let test_emitted_is_executed () =
 
 let test_run_missing_input () =
   let gen = Mde.Chain.transform_exn (model ()) in
-  let ctx = Opencl.Runtime.create_context () in
+  let ctx = Gpu.Context.create () in
   Alcotest.(check bool) "missing input raises" true
     (try
        ignore (Mde.Chain.run ctx gen ~inputs:[]);
@@ -297,7 +297,7 @@ let test_model_io_roundtrip () =
      same frames. *)
   let gen = Mde.Chain.transform_exn m' in
   let frame = frame_of 7 in
-  let ctx = Opencl.Runtime.create_context () in
+  let ctx = Gpu.Context.create () in
   let outs =
     Mde.Chain.run ctx gen
       ~inputs:

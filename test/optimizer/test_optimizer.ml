@@ -227,9 +227,9 @@ let test_sac_auto_bit_identical () =
   in
   let reference = Video.Downscaler.plane plane in
   let tuned, _, _ = Sac_cuda.Autotune.tune (sac_plan ()) in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   let outcome =
-    Sac_cuda.Exec.run ~liveness:true rt tuned ~args:[ ("frame", plane) ]
+    Sac_cuda.Exec.run ~liveness:true ctx tuned ~args:[ ("frame", plane) ]
   in
   Alcotest.(check bool) "tuned output = reference" true
     (Ndarray.Tensor.equal Int.equal outcome.Sac_cuda.Exec.result reference)
@@ -314,7 +314,7 @@ let test_mde_auto_bit_identical () =
     Mde.Autotune.tune
       (Mde.Chain.transform_exn ~opt:Optimizer.Mode.Off (mde_model ()))
   in
-  let ctx = Opencl.Runtime.create_context () in
+  let ctx = Gpu.Context.create () in
   let outs =
     Mde.Chain.run ~liveness:true ctx tuned
       ~inputs:
@@ -554,14 +554,14 @@ let test_sac_timing_only_exact ~generic ~rows ~cols () =
              (Sac.Programs.downscaler ~generic ~rows ~cols)
              ~entry:"main")
       in
-      let rt = Cuda.Runtime.init ~mode:Context.Sequential () in
+      let ctx = Gpu.Context.create ~mode:Context.Sequential () in
       let outcome =
-        Sac_cuda.Exec.run ~host_mode:`Estimate rt plan
+        Sac_cuda.Exec.run ~host_mode:`Estimate ctx plan
           ~args:(List.map (fun (n, _) -> (n, plane)) plan.Sac_cuda.Plan.params)
       in
       Alcotest.(check (float 0.0))
         (name ^ ": modelled_us = executed µs")
-        (Cuda.Runtime.elapsed_us rt +. outcome.Sac_cuda.Exec.host_us)
+        (Gpu.Context.elapsed_us ctx +. outcome.Sac_cuda.Exec.host_us)
         (Sac_cuda.Autotune.modelled_us plan))
     opts
 
@@ -577,11 +577,11 @@ let test_mde_timing_only_exact ~rows ~cols () =
       let gen =
         Mde.Chain.transform_exn ~opt (Mde.Chain.downscaler_model ~rows ~cols)
       in
-      let ctx = Opencl.Runtime.create_context ~mode:Context.Sequential () in
+      let ctx = Gpu.Context.create ~mode:Context.Sequential () in
       ignore (Mde.Chain.run ctx gen ~inputs);
       Alcotest.(check (float 0.0))
         (name ^ ": modelled_us = executed µs")
-        (Opencl.Runtime.elapsed_us ctx)
+        (Gpu.Context.elapsed_us ctx)
         (Mde.Autotune.modelled_us gen))
     opts
 

@@ -19,16 +19,16 @@ let compile ?split_generators ?opt ~generic ~filter () =
   Sac_cuda.Compile.plan_of_source ?split_generators ?opt src ~entry:"main"
 
 let execute ?liveness plan plane =
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   let outcome =
-    Sac_cuda.Exec.run ?liveness rt plan ~args:[ ("frame", plane) ]
+    Sac_cuda.Exec.run ?liveness ctx plan ~args:[ ("frame", plane) ]
   in
-  (rt, outcome)
+  (ctx, outcome)
 
-let events rt kind =
+let events ctx kind =
   List.filter
     (fun (e : Gpu.Timeline.event) -> e.Gpu.Timeline.kind = kind)
-    (Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt)))
+    (Gpu.Timeline.events (Gpu.Context.timeline ctx))
 
 (* ---------- Plan structure ---------- *)
 
@@ -97,13 +97,13 @@ let test_exec_nongeneric_full () =
 let test_exec_generic_h () =
   let plan, _ = compile ~generic:true ~filter:`H () in
   let plane = plane_of 3 in
-  let rt, outcome = execute plan plane in
+  let ctx, outcome = execute plan plane in
   Alcotest.(check bool) "bit-exact vs reference" true
     (tensor_eq outcome.Sac_cuda.Exec.result (Video.Downscaler.horizontal plane));
   (* The host tiler forces an intermediate device->host transfer
      (Section VIII-A) and charges host time. *)
   Alcotest.(check bool) "device->host for intermediate" true
-    (List.length (events rt Gpu.Timeline.Memcpy_d2h) >= 1);
+    (List.length (events ctx Gpu.Timeline.Memcpy_d2h) >= 1);
   Alcotest.(check bool) "host time charged" true
     (outcome.Sac_cuda.Exec.host_us > 0.0)
 
@@ -117,28 +117,28 @@ let test_exec_generic_full () =
 let test_transfer_counts_nongeneric () =
   let plan, _ = compile ~generic:false ~filter:`Both () in
   let plane = plane_of 5 in
-  let rt, _ = execute plan plane in
+  let ctx, _ = execute plan plane in
   (* One frame upload, one result download per plane run -- matches the
      3-per-frame (R,G,B) rate of Tables I/II when run per plane. *)
-  Alcotest.(check int) "one h2d" 1 (List.length (events rt Gpu.Timeline.Memcpy_h2d));
-  Alcotest.(check int) "one d2h" 1 (List.length (events rt Gpu.Timeline.Memcpy_d2h))
+  Alcotest.(check int) "one h2d" 1 (List.length (events ctx Gpu.Timeline.Memcpy_h2d));
+  Alcotest.(check int) "one d2h" 1 (List.length (events ctx Gpu.Timeline.Memcpy_d2h))
 
 let test_exec_missing_arg () =
   let plan, _ = compile ~generic:false ~filter:`H () in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   Alcotest.(check bool) "missing argument rejected" true
     (try
-       ignore (Sac_cuda.Exec.run rt plan ~args:[]);
+       ignore (Sac_cuda.Exec.run ctx plan ~args:[]);
        false
      with Invalid_argument _ -> true)
 
 let test_exec_wrong_shape () =
   let plan, _ = compile ~generic:false ~filter:`H () in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   Alcotest.(check bool) "wrong shape rejected" true
     (try
        ignore
-         (Sac_cuda.Exec.run rt plan
+         (Sac_cuda.Exec.run ctx plan
             ~args:[ ("frame", Tensor.create [| 4; 4 |] 0) ]);
        false
      with Invalid_argument _ -> true)
@@ -161,8 +161,8 @@ let test_split_is_slower () =
      launch overhead plus lost reuse (Section VIII-C). *)
   let plane = plane_of 7 in
   let time plan =
-    let rt, _ = execute plan plane in
-    Cuda.Runtime.elapsed_us rt
+    let ctx, _ = execute plan plane in
+    Gpu.Context.elapsed_us ctx
   in
   let t_split = time (fst (compile ~generic:false ~filter:`H ())) in
   let t_unsplit =
@@ -232,14 +232,14 @@ let cu_schedule src =
            | _ -> None)
 
 (* The same operations as the simulator recorded them. *)
-let timeline_schedule rt =
+let timeline_schedule ctx =
   List.map
     (fun (e : Gpu.Timeline.event) ->
       match e.Gpu.Timeline.kind with
       | Gpu.Timeline.Memcpy_h2d -> ("h2d", string_of_int (e.Gpu.Timeline.bytes / 4))
       | Gpu.Timeline.Memcpy_d2h -> ("d2h", string_of_int (e.Gpu.Timeline.bytes / 4))
       | Gpu.Timeline.Kernel | Gpu.Timeline.Memcpy_d2d -> ("kernel", e.Gpu.Timeline.detail))
-    (Gpu.Timeline.events (Gpu.Context.timeline (Cuda.Runtime.context rt)))
+    (Gpu.Timeline.events (Gpu.Context.timeline ctx))
 
 (* A rank-4 with-loop whose generator leaves part of the frame to the
    base array (as in test/emit_golden). *)
@@ -302,12 +302,12 @@ let check_emitted_is_executed name ~opt src =
       (fun (p, shape) -> (p, Tensor.init_lin shape (fun i -> (i * 7) mod 251)))
       plan.Sac_cuda.Plan.params
   in
-  let rt = Cuda.Runtime.init () in
-  ignore (Sac_cuda.Exec.run rt plan ~args);
+  let ctx = Gpu.Context.create () in
+  ignore (Sac_cuda.Exec.run ctx plan ~args);
   Alcotest.(check (list (pair string string)))
     (Printf.sprintf "%s --opt %s" name (Optimizer.Mode.to_string opt))
     (cu_schedule (Sac_cuda.Emit_cu.source ~name:"p" plan))
-    (timeline_schedule rt)
+    (timeline_schedule ctx)
 
 let test_emitted_is_executed () =
   List.iter
@@ -334,7 +334,7 @@ let test_emitted_is_executed () =
 let test_constant_base_filled () =
   let plan, _ = Sac_cuda.Compile.plan_of_source const_base_source ~entry:"main" in
   let a = Tensor.init_lin [| 8; 8 |] (fun i -> i) in
-  let o = Sac_cuda.Exec.run (Cuda.Runtime.init ()) plan ~args:[ ("a", a) ] in
+  let o = Sac_cuda.Exec.run (Gpu.Context.create ()) plan ~args:[ ("a", a) ] in
   let interpreted =
     Sac.Interp.run (Sac.Parser.program const_base_source) ~entry:"main"
       ~args:[ Sac.Value.Varr a ]
@@ -366,7 +366,7 @@ let test_returned_argument_is_copied () =
   List.iter
     (fun src ->
       let plan, _ = Sac_cuda.Compile.plan_of_source src ~entry:"main" in
-      let o = Sac_cuda.Exec.run (Cuda.Runtime.init ()) plan ~args:[ ("a", a) ] in
+      let o = Sac_cuda.Exec.run (Gpu.Context.create ()) plan ~args:[ ("a", a) ] in
       Alcotest.(check bool) "not the argument" false (o.Sac_cuda.Exec.result == a);
       Alcotest.(check bool) "equal to it" true (tensor_eq o.Sac_cuda.Exec.result a))
     [
@@ -389,8 +389,8 @@ let test_estimator_accuracy () =
   let plan, _ = compile ~generic:true ~filter:`H () in
   let plane = plane_of 9 in
   let host_us mode =
-    let rt = Cuda.Runtime.init () in
-    (Sac_cuda.Exec.run ~host_mode:mode rt plan ~args:[ ("frame", plane) ])
+    let ctx = Gpu.Context.create () in
+    (Sac_cuda.Exec.run ~host_mode:mode ctx plan ~args:[ ("frame", plane) ])
       .Sac_cuda.Exec.host_us
   in
   let exact = host_us `Execute in
@@ -402,14 +402,14 @@ let test_estimator_accuracy () =
 
 let test_plane_tag_in_profile () =
   let plan, _ = compile ~generic:false ~filter:`H () in
-  let rt = Cuda.Runtime.init () in
+  let ctx = Gpu.Context.create () in
   List.iter
     (fun tag ->
       ignore
-        (Sac_cuda.Exec.run ~plane_tag:tag rt plan
+        (Sac_cuda.Exec.run ~plane_tag:tag ctx plan
            ~args:[ ("frame", plane_of 1) ]))
     [ "r"; "g"; "b" ];
-  let rows = Cuda.Runtime.profile rt in
+  let rows = Gpu.Profiler.rows (Gpu.Context.timeline ctx) in
   let kernel_row =
     List.find
       (fun (r : Gpu.Profiler.row) ->
@@ -452,13 +452,13 @@ let test_fused_bit_identical () =
   let unfused, _ = compile ~generic:false ~filter:`Both () in
   let _, plain = execute unfused plane in
   let plan, _ = compile_fused () in
-  let rt, outcome = execute ~liveness:true plan plane in
+  let ctx, outcome = execute ~liveness:true plan plane in
   Alcotest.(check bool) "matches reference" true
     (tensor_eq outcome.Sac_cuda.Exec.result reference);
   Alcotest.(check bool) "matches unfused run" true
     (tensor_eq outcome.Sac_cuda.Exec.result plain.Sac_cuda.Exec.result);
   Alcotest.(check int) "7 launches" 7
-    (List.length (events rt Gpu.Timeline.Kernel))
+    (List.length (events ctx Gpu.Timeline.Kernel))
 
 let test_fused_peak_lower () =
   let plane = plane_of 2 in
@@ -467,8 +467,8 @@ let test_fused_peak_lower () =
       if fuse then compile_fused ()
       else compile ~generic:false ~filter:`Both ()
     in
-    let rt, _ = execute ~liveness:fuse plan plane in
-    Gpu.Context.peak_bytes (Cuda.Runtime.context rt)
+    let ctx, _ = execute ~liveness:fuse plan plane in
+    Gpu.Context.peak_bytes ctx
   in
   let fused = peak true and unfused = peak false in
   if fused >= unfused then
