@@ -414,10 +414,9 @@ let compiled_plan =
 
 let tests =
   [
-    (* Paper artefacts at reduced scale.  Figure 9 has no row: its runs
-       are memoised, so a row would time a table lookup. *)
-    Test.make ~name:"table1/gaspard-profile"
-      (Staged.stage (fun () -> Study.Gaspard_runs.profile small));
+    (* Paper artefacts at reduced scale.  Table I and Figure 9 have no
+       row: their runs are memoised, so a row would time a table
+       lookup. *)
     Test.make ~name:"table2/sac-profile"
       (Staged.stage (fun () ->
            Study.Sac_runs.full_pipeline_profile ~generic:false small));

@@ -246,23 +246,3 @@ let analyze ?(scalars = []) ~grid (k : Kir.t) =
               k.Kir.params
           in
           Some { a_buffers = buffers; a_exact = exact })
-
-let pp_class ppf = function
-  | `Row -> Format.pp_print_string ppf "row"
-  | `Column -> Format.pp_print_string ppf "column"
-  | `Gather -> Format.pp_print_string ppf "gather"
-
-let pp_profile ppf b =
-  Format.fprintf ppf "%s: %d site(s)%s" b.bp_buffer b.bp_sites
-    (if b.bp_guarded_sites > 0 then
-       Printf.sprintf " (%d guarded)" b.bp_guarded_sites
-     else "");
-  (match b.bp_class with
-  | Some c -> Format.fprintf ppf ", proven %a" pp_class c
-  | None -> Format.fprintf ppf ", class unproven");
-  (match b.bp_burst with
-  | Some bu -> Format.fprintf ppf ", burst %.2f" bu
-  | None -> ());
-  match b.bp_lane_stride with
-  | Some s -> Format.fprintf ppf ", lane stride %d" s
-  | None -> ()

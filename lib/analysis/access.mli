@@ -42,5 +42,3 @@ val analyze :
 (** [None] when the kernel's reads are not recognisably affine (the
     sampled classification of {!Gpu.Kir.static_cost} is then the only
     evidence). *)
-
-val pp_profile : Format.formatter -> buffer_profile -> unit

@@ -22,12 +22,6 @@ let set_perf_mode m = Atomic.set perf_state m
 
 let perf_mode () = Atomic.get perf_state
 
-let mode_of_string = function
-  | "off" -> Some Off
-  | "lint" -> Some Lint
-  | "strict" -> Some Strict
-  | _ -> None
-
 let mode_to_string = function Off -> "off" | Lint -> "lint" | Strict -> "strict"
 
 (* Finding budget of the interval kernel verifier.  A kernel spraying

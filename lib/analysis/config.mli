@@ -18,8 +18,6 @@ val perf_mode : unit -> mode
     launch-shape findings).  Independent of {!mode}; defaults to
     [Lint]. *)
 
-val mode_of_string : string -> mode option
-
 val mode_to_string : mode -> string
 
 val default_findings_cap : int

@@ -54,11 +54,6 @@ val v :
 
 val kind_label : kind -> string
 
-val severity_label : severity -> string
-
-val pp : Format.formatter -> t -> unit
-(** [file:where: what]. *)
-
 val pp_long : Format.formatter -> t -> unit
 (** [file:where: severity[kind]: what]. *)
 

@@ -7,9 +7,6 @@
 
 type t = private { lo : int; hi : int }
 
-val inf : int
-(** The saturation bound, [2^60]. *)
-
 val make : int -> int -> t
 (** [make lo hi].  Raises [Invalid_argument] when [lo > hi]. *)
 
@@ -33,7 +30,6 @@ val join : t -> t -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val mul : t -> t -> t
 
 val div_c : t -> t -> t

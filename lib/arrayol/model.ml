@@ -81,31 +81,3 @@ let out_tiler_spec task tiling =
         ~array_shape:outer.pshape ~pattern_shape:pattern.pshape
         ~repetition_shape:repetition
   | _ -> invalid_arg "Model.out_tiler_spec: not a repetitive task"
-
-let rec pp ppf task =
-  match task with
-  | Elementary { name; ip; inputs; outputs } ->
-      Format.fprintf ppf "@[<v 2>elementary %s (IP %s)%a%a@]" name ip pp_ports
-        ("in", inputs) pp_ports ("out", outputs)
-  | Repetitive { name; repetition; inner; _ } ->
-      Format.fprintf ppf "@[<v 2>repetitive %s over %s:@ %a@]" name
-        (Shape.to_string repetition)
-        pp inner
-  | Compound { name; parts; connections; _ } ->
-      Format.fprintf ppf "@[<v 2>compound %s (%d parts, %d connections):@ %a@]"
-        name (List.length parts)
-        (List.length connections)
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (n, t) ->
-             Format.fprintf ppf "%s: %s" n (match t with
-               | Elementary _ -> "elementary"
-               | Repetitive _ -> "repetitive"
-               | Compound _ -> "compound")))
-        parts
-
-and pp_ports ppf (label, ports) =
-  if ports <> [] then
-    Format.fprintf ppf "@ %s: %s" label
-      (String.concat ", "
-         (List.map
-            (fun p -> p.pname ^ ":" ^ Shape.to_string p.pshape)
-            ports))

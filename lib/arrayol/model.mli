@@ -68,5 +68,3 @@ val in_tiler_spec : t -> tiling -> Tiler.spec
     port, repetition space from the task). *)
 
 val out_tiler_spec : t -> tiling -> Tiler.spec
-
-val pp : Format.formatter -> t -> unit

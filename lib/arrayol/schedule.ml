@@ -79,23 +79,8 @@ let rec steps_of prefix task =
 
 let compute task = steps_of "" task
 
-let linear t = List.concat t
-
 let total_parallelism t =
   List.fold_left
     (fun acc level ->
       List.fold_left (fun acc s -> acc + s.parallel_degree) acc level)
     0 t
-
-let pp ppf t =
-  List.iteri
-    (fun i level ->
-      Format.fprintf ppf "@[<h>level %d: %s@]@ " i
-        (String.concat " | "
-           (List.map
-              (fun s ->
-                Printf.sprintf "%s(%s, x%d)"
-                  (if s.instance = "" then s.task_name else s.instance)
-                  s.task_name s.parallel_degree)
-              level)))
-    t

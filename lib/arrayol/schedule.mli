@@ -21,10 +21,6 @@ type t = step list list
 val compute : Model.t -> t
 (** Raises [Invalid_argument] on cyclic compounds. *)
 
-val linear : t -> step list
-
 val total_parallelism : t -> int
 (** Sum of parallel degrees — the "potential parallelism in the
     application" the specification must expose. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,6 +23,8 @@ let matrix_text m =
 (* IP registry                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The Figure 5 pattern: one tmpK window sum per output position, each
+   combined as tmp/6 - tmp mod 6. *)
 let window_reduction_body ~offsets ~fname =
   let buf = Buffer.create 512 in
   Printf.bprintf buf

@@ -29,10 +29,6 @@ val register_ip :
     [Invalid_argument] on duplicates.  Window-reduction generators for
     the paper's two IPs are pre-registered. *)
 
-val window_reduction_body : offsets:int list -> fname:string -> string
-(** The Figure 5 pattern: one [tmpK] window sum per output position,
-    each combined as [tmp/6 - tmp mod 6]. *)
-
 val translate : ?generic:bool -> Arrayol.Model.t -> string
 (** SAC source for a repetitive task (default [generic:false]).
     Raises {!Unsupported} when the task is not repetitive, has more

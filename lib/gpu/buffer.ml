@@ -9,6 +9,3 @@ let stored b = Array.length b.data = b.len
 let fill b v = Array.fill b.data 0 (Array.length b.data) v
 
 let to_array b = if stored b then Array.copy b.data else Array.make b.len 0
-
-let pp ppf b =
-  Format.fprintf ppf "buffer#%d %s[%d ints]" b.id b.name (length b)

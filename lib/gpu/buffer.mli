@@ -22,5 +22,3 @@ val fill : t -> int -> unit
 
 val to_array : t -> int array
 (** A copy of the contents (zeros for a storeless buffer). *)
-
-val pp : Format.formatter -> t -> unit

@@ -88,6 +88,3 @@ let host_int_ops_per_us = 20000.0
    between the generic and non-generic CUDA variants are reproduced
    with ~4 ns per update on the i7-930.                                 *)
 let host_cold_update_ns = 4.0
-
-(* Host-side bulk copies (kept for the ablation benchmarks).            *)
-let host_memcpy_gbs = 4.0

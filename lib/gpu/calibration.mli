@@ -35,10 +35,6 @@ val base_efficiency_row : burst:float -> float
     11-element bursts, 15.5 GB/s effective) and II (SAC, 6-element
     bursts, 19.3 GB/s effective). *)
 
-val row_efficiency_numerator : float
-
-val row_burst_scale : float
-
 val base_efficiency_column : float
 (** Same for kernels walking the major (strided) dimension, fitted
     between Table I's vertical kernels (13.2 GB/s) and Table II's
@@ -46,15 +42,6 @@ val base_efficiency_column : float
 
 val base_efficiency_gather : float
 (** Irregular (data-dependent or large-stride) access. *)
-
-val split_reuse_alpha : float
-(** Lost-locality penalty when one logical task is split over [k]
-    kernels: effective bandwidth is scaled by [1 / (1 + alpha (k-1))].
-    Models the paper's observation that "data in certain memory of the
-    GPU is not persistent across different kernels, such as the on-chip
-    L1 cache".  Fitted jointly from Table II: the 5-kernel SAC
-    horizontal filter implies a 0.40 factor and the 7-kernel vertical
-    filter a 0.30 factor; [alpha = 0.37] reproduces both within 5%. *)
 
 val split_factor : int -> float
 (** [split_factor k] is the bandwidth scale for a task split into [k]
@@ -71,6 +58,3 @@ val host_cold_update_ns : float
 (** Per-store cold-memory penalty for host tiler loops operating on
     freshly downloaded data (drives Figure 9's generic-variant
     slowdown). *)
-
-val host_memcpy_gbs : float
-(** Host-side memory bandwidth for bulk copy loops. *)

@@ -93,8 +93,6 @@ let default_mode_ref = ref Sequential
 
 let set_default_mode m = default_mode_ref := m
 
-let default_mode () = !default_mode_ref
-
 let dev_metrics_of ordinal =
   let name suffix = Printf.sprintf "gpu.dev%d.%s" ordinal suffix in
   {
@@ -138,15 +136,7 @@ let create ?mode ?(ordinal = 0) ?topology ?device () =
     stats = no_stats;
   }
 
-let device t = t.spec
-
-let ordinal t = t.ordinal
-
-let topology t = t.topology
-
 let timeline t = t.timeline
-
-let allocated_bytes t = t.allocated
 
 let peak_bytes t = t.peak
 

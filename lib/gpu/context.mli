@@ -14,7 +14,7 @@ type exec_mode =
           priced and recorded exactly as in the executing modes, but
           buffers are storeless ({!Buffer.stored} is [false]), nothing
           executes and nothing is copied.  Memory accounting
-          ({!allocated_bytes}, {!peak_bytes}, {!Out_of_memory}) is
+          ({!peak_bytes}, {!Out_of_memory}) is
           unchanged, and a read-back yields zeros.  A kernel whose
           cost depends on loaded data is profiled over zeros, which is
           what every unwritten buffer would hold.  No shipped kernel
@@ -31,8 +31,6 @@ val set_default_mode : exec_mode -> unit
     [Parallel n] here so every functional execution in the process
     runs on the shared {!Pool}. *)
 
-val default_mode : unit -> exec_mode
-
 val create :
   ?mode:exec_mode ->
   ?ordinal:int ->
@@ -48,18 +46,10 @@ val create :
     [gpu.dev<ordinal>.*] metrics are registered here.
     Raises [Invalid_argument] when [ordinal] is outside the topology. *)
 
-val device : t -> Device.t
-
-val ordinal : t -> int
-
-val topology : t -> Topology.t
-
 val timeline : t -> Timeline.t
 
-val allocated_bytes : t -> int
-
 val peak_bytes : t -> int
-(** High-water mark of {!allocated_bytes} over the context's lifetime.
+(** High-water mark of the bytes allocated over the context's lifetime.
     With the fusion/liveness pass on, buffers are freed after their
     last use, so this tracks the plan's working set rather than its
     total footprint. *)
@@ -95,8 +85,8 @@ val record_d2d :
     time, counted under [gpu.p2p_copies]/[gpu.p2p_bytes].  The
     receiving device pays for the migration, which is what the
     scheduler charges when it moves work.  Raises [Invalid_argument]
-    when [src] is this context's own ordinal.  Used by
-    {!Cluster.transfer}; the data blit itself happens there. *)
+    when [src] is this context's own ordinal.  Only the cost is
+    recorded: no buffer is moved. *)
 
 val launch :
   ?label:string ->

@@ -370,10 +370,6 @@ let shared_prepare_memo kernel =
       Mutex.unlock shared_lock;
       (p, false)
 
-let shared_prepare kernel = fst (shared_prepare_memo kernel)
-
-let compile kernel ~args = bind (prepare kernel) ~args
-
 (* ------------------------------------------------------------------ *)
 (* Data-independence of the cost profile                               *)
 (* ------------------------------------------------------------------ *)
@@ -436,10 +432,6 @@ let cost_data_independent kernel =
 (* ------------------------------------------------------------------ *)
 (* Grid execution                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let run_thread compiled gid =
-  let scratch = Array.make compiled.scratch_size 0 in
-  compiled.run scratch gid
 
 (* Execute the linearised work-items [lo, hi).  One unravel per range,
    then in-place increments: the per-item [Index.unravel] allocation of

@@ -7,8 +7,8 @@
     like the generated code in the paper's Figure 11.
 
     The IR has three consumers:
-    - {!compile} turns it into fast OCaml closures for functional
-      (bit-exact) execution on the simulator;
+    - {!shared_prepare_memo} and {!bind} turn it into fast OCaml
+      closures for functional (bit-exact) execution on the simulator;
     - one instrumented evaluator counts sampled threads to drive the
       analytic timing model ({!profile_threads} with the argument
       buffers' data, {!static_cost} with opaque loads) and enumerates
@@ -67,41 +67,29 @@ val validate : t -> (unit, string) result
     names, reads only from buffers, stores only to [Out_buffer]s, [Gid]
     dimensions below [grid_rank], non-empty name. *)
 
-val check_args : t -> (string * arg) list -> (unit, string) result
-(** Arguments match the parameter list in names and kinds. *)
-
 exception Kernel_error of string
 (** Raised during execution or profiling on division/modulo by zero,
     and by {!profile_threads} on an out-of-bounds buffer access. *)
 
 type prepared
-(** A kernel compiled to closures but not yet bound to arguments: the
-    expensive half of {!compile}, reusable across launches.  Prepared
-    kernels are immutable and safe to share between domains. *)
+(** A kernel compiled to closures but not yet bound to arguments,
+    reusable across launches.  Prepared kernels are immutable and safe
+    to share between domains. *)
 
 type compiled
 
-val prepare : t -> prepared
-(** Resolve variables to scratch slots and parameters to environment
-    positions, building the closure tree.  Raises [Invalid_argument]
-    if {!validate} fails. *)
-
-val shared_prepare : t -> prepared
-(** [prepare] through a process-wide memo table (thread-safe), so
-    short-lived contexts still compile each distinct kernel once. *)
-
 val shared_prepare_memo : t -> prepared * bool
-(** Like {!shared_prepare}, also reporting whether the kernel was
-    already in the memo table — callers keeping compile-hit counters
-    honest across short-lived contexts need the distinction. *)
+(** Compile a kernel to closures through a process-wide memo table
+    (thread-safe), so short-lived contexts still compile each distinct
+    kernel once.  Also reports whether the kernel was already in the
+    table — callers keeping compile-hit counters honest across
+    short-lived contexts need the distinction.  Raises
+    [Invalid_argument] if {!validate} fails. *)
 
 val bind : prepared -> args:(string * arg) list -> compiled
 (** Pack the actual argument values into the prepared kernel — a few
-    array writes per launch.  Raises [Invalid_argument] if
-    {!check_args} fails. *)
-
-val compile : t -> args:(string * arg) list -> compiled
-(** [bind (prepare t) ~args]. *)
+    array writes per launch.  Raises [Invalid_argument] unless the
+    arguments match the parameter list in names and kinds. *)
 
 val cost_data_independent : t -> bool
 (** True when a thread's address trace and operation count cannot
@@ -109,10 +97,6 @@ val cost_data_independent : t -> bool
     into an If/Select condition, For bound, Read/Store index, or
     Div/Mod divisor), so a {!profile_threads} result is valid for any
     buffer data of the same lengths and may be cached. *)
-
-val run_thread : compiled -> Ndarray.Index.t -> unit
-(** Execute one work-item.  Buffer stores land in the bound
-    {!Buffer.t}s. *)
 
 val run_grid : ?domains:int -> compiled -> Ndarray.Shape.t -> unit
 (** Execute every work-item of the grid, row-major.  With [domains > 1]
@@ -196,7 +180,8 @@ val profile_threads : t -> args:(string * arg) list -> grid:Ndarray.Shape.t -> c
     go to private copies of the output buffers: later sampled threads
     see earlier ones' writes, and every argument buffer is left
     unchanged.  A storeless buffer reads as zeros.  Raises
-    [Invalid_argument] if {!check_args} or {!validate} fails, and
+    [Invalid_argument] if the arguments do not match the parameters or
+    {!validate} fails, and
     {!Kernel_error} on a division by zero or out-of-bounds access in a
     sampled thread. *)
 

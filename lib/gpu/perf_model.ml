@@ -60,5 +60,3 @@ let host_loop_time_us ~ops = ops /. Calibration.host_int_ops_per_us
 let host_block_time_us ~ops ~updates =
   host_loop_time_us ~ops
   +. (updates *. Calibration.host_cold_update_ns /. 1e3)
-
-let host_copy_time_us ~bytes = bytes /. (Calibration.host_memcpy_gbs *. 1e3)

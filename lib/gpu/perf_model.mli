@@ -53,7 +53,3 @@ val host_loop_time_us : ops:float -> float
 val host_block_time_us : ops:float -> updates:float -> float
 (** Host tiler loops operating on freshly downloaded (cold) data:
     compute time plus a per-store cold-memory penalty. *)
-
-val host_copy_time_us : bytes:float -> float
-(** Host-side element-by-element copy loops (the generic output tiler's
-    for-nest). *)

@@ -176,8 +176,6 @@ let run_batch t fs =
       List.iter (fun f -> submit t batch f) fs;
       finish t batch
 
-let run_all = run_batch
-
 let map_list t fs =
   let out = Array.make (List.length fs) None in
   run_batch t

@@ -58,9 +58,6 @@ val parallel_for :
     sub_hi] for each, concurrently.  Returns when all subranges are
     done; the first task exception (if any) is re-raised. *)
 
-val run_all : t -> (unit -> unit) list -> unit
-(** Execute the thunks concurrently; wait for all of them. *)
-
 val map_list : t -> (unit -> 'a) list -> 'a list
 (** [map_list pool fs] runs the thunks concurrently and returns their
     results in submission order (determinism: the schedule never leaks

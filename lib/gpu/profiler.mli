@@ -20,7 +20,4 @@ val rows : Timeline.t -> row list
 
 val total_us : row list -> float
 
-val pp_table : ?title:string -> Format.formatter -> row list -> unit
-(** Renders rows plus a Total line, in the paper's layout. *)
-
 val to_string : ?title:string -> row list -> string

@@ -96,8 +96,6 @@ let place ?(inputs = []) ?(outputs = []) t ~name ~us_of =
   t.rev_decisions <- d :: t.rev_decisions;
   d
 
-let decisions t = List.rev t.rev_decisions
-
 let migrations t = t.migrations
 
 (* A stream migrates off its device only when staying is measurably

@@ -24,8 +24,6 @@ type decision = {
 
 val create : Topology.t -> t
 
-val device_count : t -> int
-
 val load : t -> int -> float
 (** Accumulated modelled load (us) of a device ordinal. *)
 
@@ -54,9 +52,6 @@ val stream_device :
     factor — then the stream migrates (returned flag [true], counted
     in {!migrations}).  [us] is the predicted cost of the request
     being placed and is added to the chosen device's load. *)
-
-val decisions : t -> decision list
-(** All {!place} decisions in order. *)
 
 val migrations : t -> int
 (** Stream migrations performed by {!stream_device}. *)

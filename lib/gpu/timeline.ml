@@ -33,8 +33,6 @@ let clear t =
 
 let total_us t = t.clock
 
-let count t = t.n
-
 let append dst src = List.iter (record dst) (events src)
 
 let replay t ~times =

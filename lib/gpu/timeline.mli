@@ -38,8 +38,6 @@ val clear : t -> unit
 val total_us : t -> float
 (** O(1): the running clock maintained by {!record}. *)
 
-val count : t -> int
-
 val append : t -> t -> unit
 (** [append dst src] records all of [src]'s events onto [dst] in
     order (start offsets are re-assigned on [dst]'s clock).  The pooled

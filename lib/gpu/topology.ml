@@ -115,22 +115,3 @@ let transfer_time_us t ~src ~dst ~bytes =
       | None ->
           (* Store-and-forward through host memory. *)
           link_time_us t.d2h.(i) ~bytes +. link_time_us t.h2d.(j) ~bytes)
-
-let pp ppf t =
-  let n = Array.length t.devices in
-  Format.fprintf ppf "host + %d device(s)@." n;
-  Array.iteri
-    (fun i (d : Device.t) ->
-      Format.fprintf ppf "  dev%d: %s, PCIe %.2f/%.2f GB/s + %.1f us@." i
-        d.Device.name t.h2d.(i).bandwidth_gbs t.d2h.(i).bandwidth_gbs
-        t.h2d.(i).latency_us)
-    t.devices;
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      match t.peer.(i).(j) with
-      | Some l when i < j ->
-          Format.fprintf ppf "  dev%d <-> dev%d: peer %.2f GB/s + %.1f us@." i
-            j l.bandwidth_gbs l.latency_us
-      | _ -> ()
-    done
-  done

@@ -52,5 +52,3 @@ val transfer_time_us : t -> src:endpoint -> dst:endpoint -> bytes:int -> float
 (** Modelled wall time of moving [bytes] from [src] to [dst]: link
     setup latency plus [bytes / bandwidth].  Two-hop routes pay both
     links in full (store-and-forward).  Same error cases as {!route}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -22,10 +22,6 @@ val clear : unit -> unit
 val device_events_of : Timeline.t -> Obs.Trace.device_event list
 (** The trace slices for one timeline, in recording order. *)
 
-val render : unit -> string
-(** The full trace document: all registered device groups plus the
-    host spans collected by {!Obs.Tracer}. *)
-
 val device_only_json : unit -> string
 (** Like {!render} but without host spans — every byte is a function
     of the modelled event streams, which the determinism tests rely

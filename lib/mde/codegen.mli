@@ -33,11 +33,6 @@ type generated = {
   makefile : string;
 }
 
-val kernel_of_repetitive :
-  instance:string -> Arrayol.Model.t -> kernel_task
-(** Raises {!Codegen_error} when the task is not repetitive, has a
-    non-rank-1 pattern, or its IP has no registered fragment. *)
-
 val host_steps : ?liveness:bool -> generated -> _ Gpu.C_print.host_step list
 (** The host program: boundary inputs uploaded, each kernel's output
     buffers allocated and the kernel launched, level by level in

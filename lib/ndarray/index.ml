@@ -2,13 +2,7 @@ type t = int array
 
 let zeros n = Array.make n 0
 
-let of_list = Array.of_list
-
 let to_list = Array.to_list
-
-let equal (a : t) (b : t) = a = b
-
-let compare (a : t) (b : t) = Stdlib.compare a b
 
 let binop name f a b =
   if Array.length a <> Array.length b then invalid_arg name;
@@ -80,18 +74,6 @@ let iter shape f =
       continue := next_in_place shape idx
     done
   end
-
-let fold shape f init =
-  let acc = ref init in
-  iter shape (fun idx -> acc := f !acc idx);
-  !acc
-
-let for_all shape p =
-  let ok = ref true in
-  (try
-     iter shape (fun idx -> if not (p idx) then raise Exit)
-   with Exit -> ok := false);
-  !ok
 
 let pp ppf idx =
   Format.fprintf ppf "[%a]"

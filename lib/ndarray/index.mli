@@ -9,14 +9,6 @@ type t = int array
 
 val zeros : int -> t
 
-val of_list : int list -> t
-
-val to_list : t -> int list
-
-val equal : t -> t -> bool
-
-val compare : t -> t -> int
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -37,10 +29,6 @@ val unravel : Shape.t -> int -> t
 val iter : Shape.t -> (t -> unit) -> unit
 (** Iterate over all indices of a shape in row-major order.  The index
     passed to the callback is a fresh array each time. *)
-
-val fold : Shape.t -> ('a -> t -> 'a) -> 'a -> 'a
-
-val for_all : Shape.t -> (t -> bool) -> bool
 
 val next_in_place : Shape.t -> t -> bool
 (** Advance an index to its row-major successor, in place.  Returns

@@ -19,13 +19,9 @@ let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
 
 let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1 else 0))
 
-let zero r c = Array.make_matrix r c 0
-
 let transpose m =
   check "Linalg.transpose" m;
   Array.init (cols m) (fun j -> Array.init (rows m) (fun i -> m.(i).(j)))
-
-let equal (a : mat) (b : mat) = a = b
 
 let mv m v =
   check "Linalg.mv" m;
@@ -61,12 +57,6 @@ let cat_cols a b =
 let column_nonzeros m j =
   List.filter (fun (_, v) -> v <> 0) (List.init (rows m) (fun i -> (i, m.(i).(j))))
 
-let scale k m = Array.map (Array.map (fun x -> k * x)) m
-
-let add a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Linalg.add";
-  Array.init (rows a) (fun i -> Array.init (cols a) (fun j -> a.(i).(j) + b.(i).(j)))
-
 let pp ppf m =
   let pp_row ppf row =
     Format.fprintf ppf "{%a}"
@@ -80,8 +70,6 @@ let pp ppf m =
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
        pp_row)
     (Array.to_list m)
-
-let to_string m = Format.asprintf "%a" pp m
 
 (* ---- bounded lattice search -------------------------------------- *)
 

@@ -20,11 +20,7 @@ val is_rectangular : mat -> bool
 
 val identity : int -> mat
 
-val zero : int -> int -> mat
-
 val transpose : mat -> mat
-
-val equal : mat -> mat -> bool
 
 val mv : mat -> int array -> int array
 (** Matrix-vector product; the [MV] builtin of the paper's SAC code. *)
@@ -38,13 +34,7 @@ val cat_cols : mat -> mat -> mat
 val column_nonzeros : mat -> int -> (int * int) list
 (** The nonzero entries [(row, value)] of column [j], top to bottom. *)
 
-val scale : int -> mat -> mat
-
-val add : mat -> mat -> mat
-
 val pp : Format.formatter -> mat -> unit
-
-val to_string : mat -> string
 
 (** {1 Bounded lattice search}
 

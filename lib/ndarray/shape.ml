@@ -2,8 +2,6 @@ type t = int array
 
 let scalar = [||]
 
-let of_list = Array.of_list
-
 let to_list = Array.to_list
 
 let rank = Array.length

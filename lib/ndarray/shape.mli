@@ -11,10 +11,6 @@ type t = int array
 val scalar : t
 (** The rank-0 shape. *)
 
-val of_list : int list -> t
-
-val to_list : t -> int list
-
 val rank : t -> int
 (** Number of dimensions. *)
 

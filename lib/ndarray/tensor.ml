@@ -62,12 +62,6 @@ let map2 f a b =
   if not (Shape.equal a.shape b.shape) then invalid_arg "Tensor.map2";
   { a with data = Array.map2 f a.data b.data }
 
-let iteri f t =
-  let i = ref 0 in
-  Index.iter t.shape (fun idx ->
-      f idx t.data.(!i);
-      incr i)
-
 let fold f init t = Array.fold_left f init t.data
 
 let equal elt_eq a b =

@@ -56,8 +56,6 @@ val mapi : (Index.t -> 'a -> 'b) -> 'a t -> 'b t
 
 val map2 : ('a -> 'b -> 'c) -> 'a t -> 'b t -> 'c t
 
-val iteri : (Index.t -> 'a -> unit) -> 'a t -> unit
-
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val equal : ('a -> 'a -> bool) -> 'a t -> 'a t -> bool

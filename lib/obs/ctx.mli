@@ -14,9 +14,6 @@
 
 type t = { trace_id : int; request_id : int }
 
-val none : t
-(** The empty context: carried by spans recorded outside any request. *)
-
 val is_none : t -> bool
 
 val fresh_trace : unit -> int
@@ -26,10 +23,11 @@ val fresh : ?trace_id:int -> unit -> t
 (** A new request context (fresh process-unique request id). *)
 
 val flow_id : t -> int
-(** The identifier spans record; [0] for {!none}. *)
+(** The identifier spans record; [0] for the empty context. *)
 
 val current : unit -> t
-(** The calling domain's ambient context ({!none} outside {!scoped}). *)
+(** The calling domain's ambient context (the empty context, carried by
+    spans recorded outside any request, outside {!scoped}). *)
 
 val scoped : t -> (unit -> 'a) -> 'a
 (** [scoped ctx f] runs [f] with [ctx] as the ambient context on this

@@ -59,8 +59,6 @@ let set_max g v =
   in
   go ()
 
-let gauge_value g = Atomic.get g.g_v
-
 let default_bounds = [| 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
 
 let histogram ?(bounds = default_bounds) name =
@@ -232,15 +230,3 @@ let write_file path =
          else if Filename.check_suffix path ".prom" then
            render_text ~format:`Prometheus ()
          else render_text ()))
-
-let reset () =
-  List.iter
-    (fun (_, m) ->
-      match m with
-      | Counter c -> Atomic.set c.c_v 0
-      | Gauge g -> Atomic.set g.g_v 0
-      | Histogram h ->
-          Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-          Atomic.set h.h_sum 0;
-          Atomic.set h.h_count 0)
-    (sorted_metrics ())

@@ -31,11 +31,6 @@ val set_max : gauge -> int -> unit
 (** Monotone update: keep the maximum of the current value and [v]
     (high-water marks). *)
 
-val gauge_value : gauge -> int
-
-val default_bounds : int array
-(** [10; 100; 1k; 10k; 100k; 1M] — microsecond/byte friendly. *)
-
 val histogram : ?bounds:int array -> string -> histogram
 (** Get or create a histogram with ascending integer bucket upper
     bounds (plus an implicit overflow bucket). *)
@@ -63,7 +58,3 @@ val render_json : unit -> string
 val write_file : string -> unit
 (** Render to a file: JSON when the path ends in [.json], Prometheus
     exposition when it ends in [.prom], plain text otherwise. *)
-
-val reset : unit -> unit
-(** Zero every registered metric (registrations survive).  Used between
-    back-to-back experiments and by tests. *)

@@ -22,8 +22,6 @@ let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Obs.Recorder.create: capacity < 1";
   { lock = Mutex.create (); slots = Array.make capacity None; count = 0 }
 
-let capacity t = Array.length t.slots
-
 let record t e =
   Mutex.lock t.lock;
   t.slots.(t.count mod Array.length t.slots) <- Some e;

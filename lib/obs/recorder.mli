@@ -23,8 +23,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** A ring retaining the last [capacity] (default 256) entries. *)
 
-val capacity : t -> int
-
 val record : t -> entry -> unit
 (** Deposit one completed request (domain-safe). *)
 
@@ -36,9 +34,6 @@ val entries : t -> entry list
 
 val slowest : t -> int -> entry list
 (** The [n] slowest retained entries, worst first. *)
-
-val render_entry : entry -> string
-(** Human-readable dump of one entry with per-phase shares. *)
 
 val render_slowest : ?n:int -> t -> string
 (** Formatted dump of the slowest [n] (default 5) retained entries. *)

@@ -153,9 +153,3 @@ let render ?(device = []) ?(spans = []) () =
         flow_ids);
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
-
-let write_file path ?device ?spans () =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?device ?spans ()))

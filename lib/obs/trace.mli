@@ -39,10 +39,3 @@ val render :
   string
 (** Render a complete trace document.  [device] is an ordered list of
     [(group name, events)]; [spans] is typically [Tracer.dump ()]. *)
-
-val write_file :
-  string ->
-  ?device:(string * device_event list) list ->
-  ?spans:Tracer.span list ->
-  unit ->
-  unit

@@ -104,9 +104,4 @@ let dump () =
          | 0 -> compare (a.sp_tid, a.sp_name) (b.sp_tid, b.sp_name)
          | c -> c)
 
-let dropped () =
-  List.fold_left
-    (fun acc r -> acc + max 0 (r.count - capacity))
-    0 (snapshot_rings ())
-
 let clear () = List.iter (fun r -> r.count <- 0) (snapshot_rings ())

@@ -51,8 +51,5 @@ val with_span : ?cat:string -> ?flow:int -> string -> (unit -> 'a) -> 'a
 val dump : unit -> span list
 (** All retained spans from every domain, sorted by start time. *)
 
-val dropped : unit -> int
-(** Spans lost to ring overwrites since the last {!clear}. *)
-
 val clear : unit -> unit
 (** Discard all recorded spans (rings stay registered). *)

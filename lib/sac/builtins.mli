@@ -5,8 +5,6 @@
     so that [CAT(paving, fitting) . (rep ++ pat)] computes
     [paving.rep + fitting.pat]). *)
 
-val names : string list
-
 val is_builtin : string -> bool
 
 val apply : string -> Value.t list -> Value.t

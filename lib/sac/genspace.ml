@@ -132,19 +132,3 @@ let dim_map g d =
       Some (Blocked { lb = g.lb.(d); step = g.step.(d); width = g.width.(d) })
     else None
   end
-
-let disjoint a b =
-  if rank a <> rank b then true
-  else begin
-    let result = ref true in
-    (try iter a (fun idx -> if covers b idx then raise Exit)
-     with Exit -> result := false);
-    !result
-  end
-
-let equal a b = a = b
-
-let pp ppf g =
-  Format.fprintf ppf "(%a <= iv < %a step %a width %a)"
-    Ndarray.Index.pp g.lb Ndarray.Index.pp g.ub Ndarray.Index.pp g.step
-    Ndarray.Index.pp g.width

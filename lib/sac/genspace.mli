@@ -49,11 +49,3 @@ type dim_map =
 val dim_map : t -> int -> dim_map option
 (** [None] when the last block is truncated by the upper bound, which
     the closed-form mapping cannot express. *)
-
-val disjoint : t -> t -> bool
-(** No common member (decided by scanning every member of [a] against
-    [b]; spaces in compiled programs are modest). *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

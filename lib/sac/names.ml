@@ -8,10 +8,3 @@ let fresh base_name =
     | None -> base_name
   in
   Printf.sprintf "%s$%d" root !counter
-
-let base name =
-  match String.index_opt name '$' with
-  | Some i -> String.sub name 0 i
-  | None -> name
-
-let reset () = counter := 0

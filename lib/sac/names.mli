@@ -5,9 +5,3 @@
 
 val fresh : string -> string
 (** [fresh base] is a new name derived from [base]. *)
-
-val base : string -> string
-(** Strip the freshness suffix (for readable diagnostics). *)
-
-val reset : unit -> unit
-(** Restart the counter (tests only; makes output deterministic). *)

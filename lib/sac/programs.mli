@@ -22,14 +22,8 @@ val task_h : string
 (** Figure 5: 3 output positions, windows at offsets 0/2/5 of the
     11-point pattern. *)
 
-val task_v : string
-(** The vertical analogue: 4 positions, windows at 0/2/5/8 of the
-    14-point pattern. *)
-
 val nongeneric_output_tiler_h : string
 (** Figure 7. *)
-
-val nongeneric_output_tiler_v : string
 
 val horizontal : generic:bool -> rows:int -> cols:int -> string
 (** Complete program for the horizontal filter on a [rows x cols]

@@ -9,8 +9,6 @@ val bound_names : Ast.stmt list -> string list
 val freshen : string list -> subst
 (** A substitution mapping each name to a fresh one. *)
 
-val expr : subst -> Ast.expr -> Ast.expr
-
 val stmts : subst -> Ast.stmt list -> Ast.stmt list
 
 val gen : subst -> Ast.gen -> Ast.gen

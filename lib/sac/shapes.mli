@@ -14,10 +14,6 @@ val of_typ : Ast.typ -> int array option
 
 val expr : env -> Ast.expr -> int array option
 
-val cell_shape : env -> frame_rank:int -> Ast.gen -> int array option
-(** Shape of a generator's cell value, with the index pattern bound to
-    the frame rank. *)
-
 val with_frame : env -> Ast.with_loop -> int array option
 (** The frame (index space) shape of a with-loop: the genarray shape
     argument, or the modarray source's shape. *)

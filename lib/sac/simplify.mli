@@ -11,14 +11,5 @@ val eval_closed : Ast.expr -> Value.t option
 (** Evaluate an expression with no free variables and no with-loops;
     [None] when it is not closed or evaluation fails. *)
 
-val literal_of_value : Value.t -> Ast.expr option
-(** Render scalars / rank-1 / rank-2 constants back as literals. *)
-
-val is_literal : Ast.expr -> bool
-
-val fold_expr : Shapes.env -> (string * Ast.expr) list -> Ast.expr -> Ast.expr
-(** Fold one expression under a shape environment and a constant
-    environment (variable -> literal). *)
-
 val fundef : Ast.fundef -> Ast.fundef
 (** Simplify a whole (inlined) function body. *)

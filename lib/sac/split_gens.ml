@@ -1,4 +1,3 @@
-let split_count ~n_generators = (2 * n_generators) - 1
 
 let stepped_dim (space : Genspace.t) =
   let dims = ref [] in

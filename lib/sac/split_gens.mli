@@ -19,6 +19,3 @@ val normalize : Scalarize.swith -> Scalarize.swith
 (** Split every generator but the last along its (unique) stepped
     dimension.  With-loops whose generators have no stepped dimension
     (or a single generator) are returned unchanged. *)
-
-val split_count : n_generators:int -> int
-(** The generator count after normalisation: [2n - 1]. *)

@@ -48,13 +48,3 @@ let kernel_count t =
       | Device_withloop { kernels; _ } -> acc + List.length kernels
       | _ -> acc)
     0 t.items
-
-let device_withloop_count t =
-  List.length
-    (List.filter
-       (function Device_withloop _ -> true | _ -> false)
-       t.items)
-
-let host_block_count t =
-  List.length
-    (List.filter (function Host_block _ -> true | _ -> false) t.items)

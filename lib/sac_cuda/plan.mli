@@ -38,7 +38,3 @@ type t = {
 val pp : Format.formatter -> t -> unit
 
 val kernel_count : t -> int
-
-val device_withloop_count : t -> int
-
-val host_block_count : t -> int

@@ -276,8 +276,6 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let queue_depth t = Queue.length t.q
-
 let latency t = Stats.summary t.recorder
 
 let flight t = t.flight

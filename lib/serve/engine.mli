@@ -82,8 +82,6 @@ val shutdown : t -> unit
     Idempotent.  After shutdown, {!submit} completes new tickets as
     [Rejected]. *)
 
-val queue_depth : t -> int
-
 val latency : t -> Stats.summary
 (** Exact percentiles over every [Done] completion of this engine. *)
 

@@ -32,8 +32,6 @@ let create ~capacity ~policy () =
 
 let policy t = t.pol
 
-let capacity t = t.capacity
-
 let note_depth n =
   Obs.Metrics.set m_depth n;
   Obs.Metrics.set_max m_high_water n
@@ -107,14 +105,6 @@ let pop t =
       (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   x
 
-let try_pop t =
-  Mutex.lock t.lock;
-  let x =
-    if Stdlib.Queue.is_empty t.items then None else Some (take_locked t)
-  in
-  Mutex.unlock t.lock;
-  x
-
 let try_pop_where t pred =
   Mutex.lock t.lock;
   (* Rebuild the FIFO minus the first match; capacities are small
@@ -149,9 +139,3 @@ let close t =
   Condition.broadcast t.not_empty;
   Condition.broadcast t.not_full;
   Mutex.unlock t.lock
-
-let is_closed t =
-  Mutex.lock t.lock;
-  let c = t.closed in
-  Mutex.unlock t.lock;
-  c

@@ -34,8 +34,6 @@ val create : capacity:int -> policy:policy -> unit -> 'a t
 
 val policy : _ t -> policy
 
-val capacity : _ t -> int
-
 val push : 'a t -> 'a -> 'a push_result
 (** Only [Block] pushes can wait; the other policies return
     immediately. *)
@@ -43,9 +41,6 @@ val push : 'a t -> 'a -> 'a push_result
 val pop : 'a t -> 'a option
 (** Blocking FIFO pop; [None] once the queue is closed {e and}
     drained. *)
-
-val try_pop : 'a t -> 'a option
-(** Non-blocking pop. *)
 
 val try_pop_where : 'a t -> ('a -> bool) -> 'a option
 (** Non-blocking pop of the {e first} element satisfying the predicate,
@@ -55,5 +50,3 @@ val try_pop_where : 'a t -> ('a -> bool) -> 'a option
 val length : _ t -> int
 
 val close : _ t -> unit
-
-val is_closed : _ t -> bool

@@ -24,8 +24,6 @@ let id t = t.id
 
 let format t = t.fmt
 
-let opt t = t.opt
-
 let key t = t.key
 
 let pipeline_name t =
@@ -50,12 +48,6 @@ let cache : (key, runner) Hashtbl.t = Hashtbl.create 8
 let m_cache_hits = Obs.Metrics.counter "serve.plan_cache_hits"
 
 let m_cache_misses = Obs.Metrics.counter "serve.plan_cache_misses"
-
-let cache_size () =
-  Mutex.lock cache_lock;
-  let n = Hashtbl.length cache in
-  Mutex.unlock cache_lock;
-  n
 
 let compile key =
   match key.k_pipeline with
@@ -148,16 +140,6 @@ let set_devices ?(profile = Gpu.Device.gtx480) n =
      let topo = Gpu.Topology.uniform ~devices:n profile in
      cluster_ref := Some (topo, Gpu.Sched.create topo));
   Mutex.unlock sched_lock
-
-let device_count () =
-  Mutex.lock sched_lock;
-  let n =
-    match !cluster_ref with
-    | None -> 1
-    | Some (topo, _) -> Gpu.Topology.device_count topo
-  in
-  Mutex.unlock sched_lock;
-  n
 
 let migrations () = Option.value ~default:0 (Obs.Metrics.find "serve.migrations")
 

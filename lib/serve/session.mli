@@ -40,9 +40,6 @@ val id : t -> int
 
 val format : t -> Video.Format.t
 
-val opt : t -> Optimizer.Mode.t
-(** The optimisation mode this session's plan was compiled under. *)
-
 val key : t -> key
 (** Batching key; equal iff two sessions can share one plan/launch. *)
 
@@ -55,9 +52,6 @@ val run_frame : t -> Video.Frame.t -> Video.Frame.t * Gpu.Timeline.event list
     are shared process-wide, so this allocates no compilation work) and
     return the scaled frame plus the device events the run recorded. *)
 
-val cache_size : unit -> int
-(** Number of distinct compiled plans held by the process-wide cache. *)
-
 val set_devices : ?profile:Gpu.Device.t -> int -> unit
 (** Serve across [n] simulated devices (default profile: GTX480).
     With [n > 1] a process-wide residency-aware scheduler
@@ -67,9 +61,6 @@ val set_devices : ?profile:Gpu.Device.t -> int -> unit
     topology's links (each migration counted as [serve.migrations]).
     [set_devices 1] restores single-device serving.  Raises
     [Invalid_argument] when [n < 1]. *)
-
-val device_count : unit -> int
-(** Devices configured by {!set_devices} (1 when unset). *)
 
 val migrations : unit -> int
 (** Stream migrations performed so far ([serve.migrations]). *)

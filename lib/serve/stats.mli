@@ -54,9 +54,6 @@ type summary = {
   max_us : float;
 }
 
-val zero_summary : summary
-(** All fields zero — what {!summary} returns for an empty recorder. *)
-
 val summary : recorder -> summary
 
 val percentile : float array -> p:float -> float

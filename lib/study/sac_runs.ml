@@ -8,8 +8,6 @@ let variant_name = function
   | Cuda_generic -> "SAC-CUDA Generic"
   | Cuda_nongeneric -> "SAC-CUDA Non-Generic"
 
-let filter_name = function H -> "Horizontal Filter" | V -> "Vertical Filter"
-
 (* The vertical filter operates on the horizontal filter's output
    geometry (1080x720 for HD input), as in the paper's pipeline. *)
 let filter_geometry filter (s : Scale.t) =
@@ -22,14 +20,6 @@ let source_of ~generic filter (s : Scale.t) =
   match filter with
   | H -> Sac.Programs.horizontal ~generic ~rows ~cols
   | V -> Sac.Programs.vertical ~generic ~rows ~cols
-
-let source variant filter s =
-  let generic =
-    match variant with
-    | Seq_generic | Cuda_generic -> true
-    | Seq_nongeneric | Cuda_nongeneric -> false
-  in
-  source_of ~generic filter s
 
 (* Memoisation with the lock-check-unlock pattern: the lock is never
    held while computing, so a memoised computation is free to run pool

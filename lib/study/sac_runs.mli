@@ -17,15 +17,8 @@ type filter = H | V
 
 val variant_name : variant -> string
 
-val filter_name : filter -> string
-
-val source : variant -> filter -> Scale.t -> string
-(** The SAC program text the variant compiles. *)
-
 val seq_us : generic:bool -> filter -> Scale.t -> float
 (** Total modelled time over all frames and planes. *)
-
-val cuda_us : generic:bool -> filter -> Scale.t -> float
 
 val time_us : variant -> filter -> Scale.t -> float
 

@@ -4,8 +4,6 @@ let paper = { rows = 1080; cols = 1920; frames = 300 }
 
 let validation = { rows = 72; cols = 64; frames = 2 }
 
-let tiny = { rows = 18; cols = 16; frames = 1 }
-
 let pixels s = s.rows * s.cols
 
 let h_out_cols s = s.cols / 8 * 3
@@ -13,6 +11,3 @@ let h_out_cols s = s.cols / 8 * 3
 let v_out_rows s = s.rows / 9 * 4
 
 let planes = 3
-
-let pp ppf s =
-  Format.fprintf ppf "%dx%d, %d frames" s.rows s.cols s.frames

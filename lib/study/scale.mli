@@ -14,9 +14,6 @@ val validation : t
 (** 72 x 64, 2 frames: large enough to exercise several packets per
     dimension, small enough to interpret. *)
 
-val tiny : t
-(** 18 x 16, 1 frame (unit tests). *)
-
 val pixels : t -> int
 
 val h_out_cols : t -> int
@@ -25,5 +22,3 @@ val v_out_rows : t -> int
 
 val planes : int
 (** 3 (RGB). *)
-
-val pp : Format.formatter -> t -> unit

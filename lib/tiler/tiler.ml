@@ -64,13 +64,6 @@ let elem_index_unwrapped s ~rep ~pat =
 let elem_index s ~rep ~pat =
   Index.wrap s.array_shape (elem_index_unwrapped s ~rep ~pat)
 
-let wraps s ~rep =
-  let wrapped = ref false in
-  Index.iter s.pattern_shape (fun pat ->
-      if not (Index.in_bounds s.array_shape (elem_index_unwrapped s ~rep ~pat))
-      then wrapped := true);
-  !wrapped
-
 let gather arr s ~rep =
   Tensor.init s.pattern_shape (fun pat ->
       Tensor.get arr (elem_index s ~rep ~pat))

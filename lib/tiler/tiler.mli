@@ -56,10 +56,6 @@ val elem_index : spec -> rep:Index.t -> pat:Index.t -> Index.t
 (** Array element addressed by pattern index [pat] of repetition [rep],
     wrapped modulo the array shape. *)
 
-val wraps : spec -> rep:Index.t -> bool
-(** Whether any element of the pattern at [rep] wraps around an array
-    edge.  Kernel generators use this to split boundary repetitions. *)
-
 val gather : 'a Tensor.t -> spec -> rep:Index.t -> 'a Tensor.t
 (** Extract the pattern (a tensor of [pattern_shape]) at one repetition. *)
 
@@ -87,7 +83,5 @@ val is_exact_cover : spec -> bool
 val covers_array : spec -> bool
 (** Every array element touched at least once; per axis, every residue
     is reached ({!Ndarray.Linalg.meet}), else by {!coverage}. *)
-
-val pp : Format.formatter -> t -> unit
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -55,11 +55,3 @@ let ycbcr_to_rgb frame =
       in
       Frame.clamp8 ((v + 32768) asr 16))
     frame
-
-let luma frame =
-  let shape = Frame.format_shape frame in
-  Tensor.init shape (fun idx ->
-      y_of_rgb
-        ~r:(Tensor.get (Frame.plane frame Frame.R) idx)
-        ~g:(Tensor.get (Frame.plane frame Frame.G) idx)
-        ~b:(Tensor.get (Frame.plane frame Frame.B) idx))

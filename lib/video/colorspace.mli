@@ -13,7 +13,3 @@ val ycbcr_to_rgb : Frame.t -> Frame.t
 
 val y_of_rgb : r:int -> g:int -> b:int -> int
 (** Luma of one pixel (0..255). *)
-
-val luma : Frame.t -> int Ndarray.Tensor.t
-(** The Y plane of an RGB frame — what a greyscale preview or a
-    luma-only downscale pipeline consumes. *)

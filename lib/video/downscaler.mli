@@ -20,23 +20,11 @@
 
 open Ndarray
 
-val h_pack_in : int  (** 8 *)
-
 val h_pack_out : int  (** 3 *)
-
-val h_pattern : int  (** 11 *)
-
-val v_pack_in : int  (** 9 *)
-
-val v_pack_out : int  (** 4 *)
-
-val v_pattern : int  (** 14 *)
 
 val window_len : int  (** 6 *)
 
 val h_window_offsets : int array  (** [|0; 2; 5|] *)
-
-val v_window_offsets : int array  (** [|0; 2; 5; 8|] *)
 
 val interpolate : int -> int
 (** [interpolate sum] is [sum / 6 - sum mod 6], the paper's Figure 5

@@ -20,6 +20,4 @@ let downscaled f = after_vertical (after_horizontal f)
 
 let shape f = [| f.rows; f.cols |]
 
-let pixels f = f.rows * f.cols
-
 let pp ppf f = Stdlib.Format.fprintf ppf "%s (%dx%d)" f.name f.rows f.cols

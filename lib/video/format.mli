@@ -19,15 +19,9 @@ val after_horizontal : t -> t
 (** Result of the horizontal filter: columns scaled by 3/8.  Raises
     [Invalid_argument] when the width is not a multiple of 8. *)
 
-val after_vertical : t -> t
-(** Result of the vertical filter: rows scaled by 4/9.  Raises
-    [Invalid_argument] when the height is not a multiple of 9. *)
-
 val downscaled : t -> t
 (** Both filters; HDTV 1080x1920 becomes DVD-resolution 480x720. *)
 
 val shape : t -> Ndarray.Shape.t
-
-val pixels : t -> int
 
 val pp : Stdlib.Format.formatter -> t -> unit

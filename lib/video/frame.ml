@@ -8,10 +8,6 @@ let channels = [ R; G; B ]
 
 let channel_name = function R -> "R" | G -> "G" | B -> "B"
 
-let create fmt =
-  let mk () = Tensor.create (Format.shape fmt) 0 in
-  { r = mk (); g = mk (); b = mk () }
-
 let init fmt f =
   {
     r = Tensor.init (Format.shape fmt) (f R);

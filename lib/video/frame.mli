@@ -11,9 +11,6 @@ type channel = R | G | B
 
 type t = { r : int Tensor.t; g : int Tensor.t; b : int Tensor.t }
 
-val create : Format.t -> t
-(** Black frame. *)
-
 val init : Format.t -> (channel -> Index.t -> int) -> t
 
 val plane : t -> channel -> int Tensor.t

@@ -19,8 +19,5 @@ let frame fmt n =
   Frame.init fmt (fun channel idx ->
       pixel ~channel ~frame_no:n ~row:idx.(0) ~col:idx.(1))
 
-let sequence fmt ~count =
-  Seq.init count (fun n -> frame fmt n)
-
 let stream ?(start = 0) fmt =
   Seq.unfold (fun n -> Some (frame fmt n, n + 1)) start

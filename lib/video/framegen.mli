@@ -12,14 +12,7 @@ val frame : Format.t -> int -> Frame.t
     pixel values are in 0..255 and depend on position, channel and
     [n]. *)
 
-val sequence : Format.t -> count:int -> Frame.t Seq.t
-(** The first [count] frames, generated lazily. *)
-
 val stream : ?start:int -> Format.t -> Frame.t Seq.t
 (** The unbounded frame sequence from frame [start] (default 0) on —
     the shape a live stream source has; the serving load generator
     gives each synthetic stream its own [start] offset. *)
-
-val pixel : channel:Frame.channel -> frame_no:int -> row:int -> col:int -> int
-(** The pure pixel function behind {!frame} (useful to re-derive
-    expected values in tests). *)

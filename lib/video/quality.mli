@@ -1,13 +1,4 @@
 (** Image-quality metrics for cross-checking pipeline outputs. *)
 
-open Ndarray
-
-val mse : int Tensor.t -> int Tensor.t -> float
-(** Mean squared error between two planes of equal shape. *)
-
-val psnr : int Tensor.t -> int Tensor.t -> float
-(** Peak signal-to-noise ratio in dB against a 255 peak;
-    [infinity] for identical planes. *)
-
 val frame_psnr : Frame.t -> Frame.t -> float
 (** Minimum PSNR across the three colour planes. *)

@@ -213,7 +213,7 @@ let test_schedule_plane () =
     Arrayol.Schedule.compute (Arrayol.Downscaler_model.plane ~rows ~cols)
   in
   (* hf must come before vf. *)
-  let linear = Arrayol.Schedule.linear schedule in
+  let linear = List.concat schedule in
   let pos name =
     let rec go i = function
       | [] -> -1
@@ -271,7 +271,7 @@ let test_semantics_plane_chain () =
     Arrayol.Semantics.run1 (Arrayol.Downscaler_model.plane ~rows ~cols) plane
   in
   Alcotest.(check (list int)) "DVD-like shape" [ out_rows; h_cols ]
-    (Shape.to_list (Tensor.shape out));
+    (Array.to_list (Tensor.shape out));
   Alcotest.(check bool) "ArrayOL chain = reference" true
     (tensor_eq out (Video.Downscaler.plane plane))
 
@@ -334,7 +334,7 @@ let test_block_structure () =
               (match inputs with
               | [ p ] ->
                   Alcotest.(check (list int)) "super-pattern" [ 19 ]
-                    (Shape.to_list p.Arrayol.Model.pshape)
+                    (Array.to_list p.Arrayol.Model.pshape)
               | _ -> Alcotest.fail "one block input expected")
           | _ -> Alcotest.fail "inner task should be repetitive");
           Alcotest.(check (list string)) "no validation issues" []

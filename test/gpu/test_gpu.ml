@@ -492,7 +492,6 @@ let test_perf_launch_floor () =
   Alcotest.(check bool) "at least the launch overhead" true
     (t >= Calibration.kernel_launch_us)
 
-
 (* ---------- Static cost derivation ---------- *)
 
 (* static_cost must reproduce the execution-counted profile exactly on
@@ -614,19 +613,24 @@ let astring_contains hay needle =
   let rec go i = (i + nl <= hl) && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* Live device bytes: {!Context.reset} returns the peak to them. *)
+let live_bytes c =
+  Context.reset c;
+  Context.peak_bytes c
+
 let test_alloc_accounting mode () =
   let c = Gpu.Context.create ~mode () in
   let b1 = Context.alloc c ~name:"b1" 1000 in
   Alcotest.(check bool) "backing store only when executing"
     (mode <> Context.Timing_only) (Buffer.stored b1);
-  Alcotest.(check int) "4 bytes per int" 4000 (Context.allocated_bytes c);
+  Alcotest.(check int) "4 bytes per int" 4000 (live_bytes c);
   let b2 = Context.alloc c ~name:"b2" 500 in
-  Alcotest.(check int) "cumulative" 6000 (Context.allocated_bytes c);
+  Alcotest.(check int) "cumulative" 6000 (live_bytes c);
   Context.free c b1;
-  Alcotest.(check int) "freed" 2000 (Context.allocated_bytes c);
+  Alcotest.(check int) "freed" 2000 (live_bytes c);
   Context.free c b2;
   Alcotest.(check int) "round-trip restores accounting" 0
-    (Context.allocated_bytes c);
+    (live_bytes c);
   Alcotest.(check bool) "double free rejected" true
     (try
        Context.free c b2;
@@ -649,7 +653,7 @@ let test_peak_and_arena mode () =
   Alcotest.(check int) "peak unchanged after reuse" 6000 (Context.peak_bytes c);
   Alcotest.(check bool) "recycled store is zeroed" true
     (Array.for_all (( = ) 0) (Gpu.Buffer.to_array b3));
-  Alcotest.(check int) "live again" 6000 (Context.allocated_bytes c);
+  Alcotest.(check int) "live again" 6000 (live_bytes c);
   Context.free c b3;
   Context.free c b4
 
@@ -713,7 +717,8 @@ let test_timeline_events () =
     (c, events, (h2d1 - h2d0, d2h1 - d2h0), host)
   in
   let c, events, traffic, host = run Context.Sequential in
-  Alcotest.(check int) "3 events" 3 (Timeline.count (Context.timeline c));
+  Alcotest.(check int) "3 events" 3
+    (List.length (Timeline.events (Context.timeline c)));
   Alcotest.(check bool) "time accumulated" true (Context.elapsed_us c > 0.0);
   Alcotest.(check (array int)) "read-back" (Array.make 10 2) host;
   let _, t_events, t_traffic, t_host = run Context.Timing_only in
@@ -730,7 +735,7 @@ let test_timeline_replay () =
     { Timeline.label = "k"; detail = "k"; kind = Timeline.Kernel; us = 5.0;
       start_us = 0.0; bytes = 0; threads = 1 };
   Timeline.replay t ~times:300;
-  Alcotest.(check int) "300 events" 300 (Timeline.count t);
+  Alcotest.(check int) "300 events" 300 (List.length (Timeline.events t));
   Alcotest.(check (float 0.001)) "300x time" 1500.0 (Timeline.total_us t)
 
 let test_timeline_start_offsets () =
@@ -754,7 +759,7 @@ let test_timeline_start_offsets () =
     ((List.nth (Timeline.events t) 3).Timeline.start_us);
   (* replay continues the clock rather than restarting it. *)
   Timeline.replay t ~times:2;
-  Alcotest.(check int) "8 events" 8 (Timeline.count t);
+  Alcotest.(check int) "8 events" 8 (List.length (Timeline.events t));
   Alcotest.(check (float 1e-9)) "replayed first start" 21.0
     ((List.nth (Timeline.events t) 4).Timeline.start_us);
   Alcotest.(check (float 1e-9)) "total doubled" 42.0 (Timeline.total_us t)
@@ -771,7 +776,7 @@ let test_trace_export_device_tracks () =
   Context.d2h c out (Array.make n 0);
   Trace_export.register ~name:"test device" (Context.timeline c);
   let doc = Trace_export.device_only_json () in
-  let count = Timeline.count (Context.timeline c) in
+  let count = List.length (Timeline.events (Context.timeline c)) in
   Obs.Tracer.set_enabled false;
   Trace_export.clear ();
   Alcotest.(check int) "one slice per timeline event" count
@@ -1092,11 +1097,12 @@ let test_makefile () =
    Cuda.Runtime and Opencl.Runtime: both must give the plain GTX480
    context, and their elapsed_us must be the context's. *)
 let check_facade c elapsed_us =
-  Alcotest.(check string) "GTX480" Device.gtx480.Device.name
-    (Context.device c).Device.name;
   let out = Context.alloc c ~name:"out" 16 in
   let a = Context.alloc c ~name:"a" 16 in
   Context.h2d c a (Array.init 16 (fun i -> i));
+  Alcotest.(check (float 0.0)) "GTX480 upload time"
+    (Perf_model.memcpy_time_us Device.gtx480 ~bytes:64 ~dir:`H2d)
+    (Context.elapsed_us c);
   launch_vadd c 16 (a, a, out);
   let host = Array.make 16 0 in
   Context.d2h c out host;
@@ -1157,8 +1163,9 @@ let test_pool_exception () =
   let pool = Pool.create ~workers:2 () in
   let raised =
     try
-      Pool.run_all pool
-        (List.init 8 (fun i -> fun () -> if i = 5 then failwith "boom"));
+      ignore
+        (Pool.map_list pool
+           (List.init 8 (fun i -> fun () -> if i = 5 then failwith "boom")));
       false
     with Failure m -> m = "boom"
   in
@@ -1249,7 +1256,7 @@ let test_context_reset_clears_stats () =
   Alcotest.(check bool) "stats accumulated" true (Context.cache_stats c <> zero);
   Context.reset c;
   Alcotest.(check int) "timeline cleared" 0
-    (Timeline.count (Context.timeline c));
+    (List.length (Timeline.events (Context.timeline c)));
   Alcotest.(check bool) "stats cleared" true (Context.cache_stats c = zero);
   (* The caches themselves survive: the next launch is a hit, not a
      recompile. *)
@@ -1383,7 +1390,9 @@ let test_pooled_filters_match_sequential () =
       ~args:[ ("src", Kir.Buffer_arg mid); ("dst", Kir.Buffer_arg dst) ];
     let host = Array.make (out_rows * out_cols) 0 in
     Context.d2h c dst host;
-    (host, Context.elapsed_us c, Timeline.count (Context.timeline c))
+    ( host,
+      Context.elapsed_us c,
+      List.length (Timeline.events (Context.timeline c)) )
   in
   let seq_out, seq_us, seq_events = run Context.Sequential in
   List.iter
@@ -1589,9 +1598,8 @@ let place_sequence () =
    scheduler consults only the topology and its own accumulated state,
    so `--domains N` cannot change where work lands. *)
 let test_sched_deterministic_across_modes () =
-  let saved = Context.default_mode () in
   Fun.protect
-    ~finally:(fun () -> Context.set_default_mode saved)
+    ~finally:(fun () -> Context.set_default_mode Context.Sequential)
     (fun () ->
       Context.set_default_mode Context.Sequential;
       let a = place_sequence () in
@@ -1669,55 +1677,66 @@ let test_sched_stream_pinning_and_migration () =
   Alcotest.(check bool) "lands on the other device" true (o2 <> o0);
   Alcotest.(check int) "migration counted" 1 (Sched.migrations s)
 
+(* A migration into device 1 from device 0: the receiving device pays
+   the topology's peer-link time, or the two-hop (d2h + h2d) time when
+   the pair is not peer-linked, on its own timeline. *)
 let test_cluster_transfer_accounting () =
-  let migrate mode =
-    let cl = Cluster.uniform ~mode ~devices:2 Device.gtx480 in
-    let buf = Context.alloc (Cluster.context cl 0) ~name:"x" 1000 in
-    let moved = Cluster.transfer cl ~src:0 ~dst:1 buf in
-    let host = Array.make 1000 (-1) in
-    Context.d2h (Cluster.context cl 1) moved host;
-    (Context.elapsed_us (Cluster.context cl 1), host)
-  in
-  let us, _ = migrate Context.Sequential in
-  let t_us, t_host = migrate Context.Timing_only in
-  Alcotest.(check (float 0.0)) "timing-only receiver µs (d2d + read-back)"
-    us t_us;
-  Alcotest.(check (array int)) "timing-only migrated read-back is zeros"
-    (Array.make 1000 0) t_host;
-  let cl = Cluster.uniform ~devices:2 Device.gtx480 in
-  let c0 = Cluster.context cl 0 and c1 = Cluster.context cl 1 in
-  let n = 16 in
-  let data = Array.init n (fun i -> (i * 13) mod 7) in
-  let buf = Context.alloc c0 ~name:"x" n in
-  Context.h2d c0 buf data;
-  let moved = Cluster.transfer cl ~src:0 ~dst:1 buf in
-  let host = Array.make n 0 in
-  Context.d2h c1 moved host;
-  Alcotest.(check (array int)) "contents survive the migration" data host;
-  let d2d tl =
+  let d = Device.gtx480 in
+  let peer = Topology.uniform ~devices:2 d in
+  let hop = Topology.of_devices ~peer_linked:false [ d; d ] in
+  let bytes = 4000 in
+  let d2d ctx =
     List.filter
       (fun (e : Timeline.event) -> e.Timeline.kind = Timeline.Memcpy_d2d)
-      (Timeline.events tl)
+      (Timeline.events (Context.timeline ctx))
   in
-  let recv = d2d (Context.timeline c1) in
-  Alcotest.(check int) "one d2d event, on the receiver" 1 (List.length recv);
-  Alcotest.(check int) "no d2d on the sender" 0
-    (List.length (d2d (Context.timeline c0)));
-  Alcotest.(check int) "event carries the payload bytes" (n * 4)
-    (List.hd recv).Timeline.bytes;
-  (* Same-device transfer is the identity and records nothing. *)
-  let same = Cluster.transfer cl ~src:1 ~dst:1 moved in
-  Alcotest.(check bool) "src = dst returns the buffer" true (same == moved);
-  Alcotest.(check int) "and records no event" 1
-    (List.length (d2d (Context.timeline c1)));
-  (* The merged timeline sees every device's events in ordinal order. *)
-  let merged = Timeline.events (Cluster.merged_timeline cl) in
-  Alcotest.(check int) "merged timeline carries the d2d" 1
-    (List.length
-       (List.filter
-          (fun (e : Timeline.event) ->
-            e.Timeline.kind = Timeline.Memcpy_d2d)
-          merged))
+  let migrate mode topology =
+    let c0 = Context.create ~mode ~ordinal:0 ~topology () in
+    let c1 = Context.create ~mode ~ordinal:1 ~topology () in
+    Context.record_d2d c1 ~detail:"x" ~src:0 ~bytes;
+    Alcotest.(check int) "no d2d on the sender" 0 (List.length (d2d c0));
+    Alcotest.(check (float 0.0)) "the sender pays nothing" 0.0
+      (Context.elapsed_us c0);
+    c1
+  in
+  List.iter
+    (fun (route, topology, expected_us) ->
+      let copies = metric "gpu.p2p_copies"
+      and recv_bytes = metric "gpu.dev1.p2p_bytes" in
+      let c1 = migrate Context.Sequential topology in
+      (match d2d c1 with
+      | [ e ] ->
+          Alcotest.(check (float 1e-9)) (route ^ " µs") expected_us
+            e.Timeline.us;
+          Alcotest.(check int) "event carries the payload bytes" bytes
+            e.Timeline.bytes
+      | evs ->
+          Alcotest.failf "%s: %d d2d events on the receiver, expected 1"
+            route (List.length evs));
+      Alcotest.(check (float 1e-9)) "the receiver pays" expected_us
+        (Context.elapsed_us c1);
+      Alcotest.(check int) "p2p copy counted" (copies + 1)
+        (metric "gpu.p2p_copies");
+      Alcotest.(check int) "receiver's p2p bytes" (recv_bytes + bytes)
+        (metric "gpu.dev1.p2p_bytes");
+      Alcotest.(check (float 0.0)) "timing-only receiver µs"
+        (Context.elapsed_us c1)
+        (Context.elapsed_us (migrate Context.Timing_only topology)))
+    [
+      ( "peer",
+        peer,
+        Topology.transfer_time_us peer ~src:(Topology.Dev 0)
+          ~dst:(Topology.Dev 1) ~bytes );
+      ( "two-hop",
+        hop,
+        Perf_model.memcpy_time_us d ~bytes ~dir:`D2h
+        +. Perf_model.memcpy_time_us d ~bytes ~dir:`H2d );
+    ];
+  let c1 = Context.create ~ordinal:1 ~topology:peer () in
+  Alcotest.(check bool) "own ordinal rejected" true
+    (raises_invalid (fun () ->
+         Context.record_d2d c1 ~detail:"x" ~src:1 ~bytes));
+  Alcotest.(check int) "and records nothing" 0 (List.length (d2d c1))
 
 let test_per_device_metrics_isolated () =
   let topo = Topology.uniform ~devices:2 Device.gtx480 in

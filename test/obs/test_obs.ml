@@ -113,9 +113,11 @@ let test_metrics_gauge () =
   let g = Metrics.gauge "test.gauge" in
   Metrics.set g 7;
   Metrics.set_max g 3;
-  Alcotest.(check int) "set_max keeps larger" 7 (Metrics.gauge_value g);
+  Alcotest.(check (option int)) "set_max keeps larger" (Some 7)
+    (Metrics.find "test.gauge");
   Metrics.set_max g 11;
-  Alcotest.(check int) "set_max raises" 11 (Metrics.gauge_value g)
+  Alcotest.(check (option int)) "set_max raises" (Some 11)
+    (Metrics.find "test.gauge")
 
 let test_metrics_histogram () =
   let h = Metrics.histogram ~bounds:[| 10; 100 |] "test.histo" in
@@ -186,7 +188,7 @@ let test_metrics_prometheus () =
 let test_ctx_scoping () =
   Alcotest.(check bool) "ambient default is none" true
     (Ctx.is_none (Ctx.current ()));
-  Alcotest.(check int) "none has flow 0" 0 (Ctx.flow_id Ctx.none);
+  Alcotest.(check int) "none has flow 0" 0 (Ctx.flow_id (Ctx.current ()));
   let tr = Ctx.fresh_trace () in
   let a = Ctx.fresh ~trace_id:tr () in
   let b = Ctx.fresh ~trace_id:tr () in
@@ -223,7 +225,6 @@ let flight_entry ?(request = 1) ?(total = 100.) ?(outcome = "done") () =
 
 let test_recorder_ring () =
   let r = Recorder.create ~capacity:3 () in
-  Alcotest.(check int) "capacity" 3 (Recorder.capacity r);
   List.iteri
     (fun i total -> Recorder.record r (flight_entry ~request:i ~total ()))
     [ 50.; 500.; 10.; 200.; 90. ];

@@ -51,7 +51,7 @@ let run_kernel (k, grid) =
   let out = buffer "out" n in
   let inp = { (buffer "inp" n) with Buffer.data = Array.init n (fun i -> i * 7 mod 31) } in
   let compiled =
-    Kir.compile k
+    Kir.bind (fst (Kir.shared_prepare_memo k))
       ~args:[ ("out", Kir.Buffer_arg out); ("inp", Kir.Buffer_arg inp) ]
   in
   Kir.run_grid compiled grid;

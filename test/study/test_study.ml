@@ -227,7 +227,9 @@ let test_validation () =
     (fun (v : Study.Experiments.validation) ->
       Alcotest.(check bool) v.Study.Experiments.name true
         v.Study.Experiments.ok)
-    (Study.Experiments.validate ~scale:Study.Scale.tiny ())
+    (Study.Experiments.validate
+       ~scale:{ Study.Scale.rows = 18; cols = 16; frames = 1 }
+       ())
 
 (* ---------- Pool-size determinism ---------- *)
 
