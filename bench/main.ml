@@ -7,33 +7,20 @@
       prints them in the paper's layout, next to the published numbers.
    2. {b Ablations} — the design-choice studies DESIGN.md calls out
       (WLF on/off, Figure 8 generator splitting on/off, transfer
-      batching, generic vs non-generic), reported in simulated GTX480
-      time.
-   3. {b Microbenchmarks} — Bechamel [Test.make]s for the tables and
-      figures (at a reduced scale so the statistics converge quickly)
-      plus the main compiler components, measuring the
-      *implementation's* wall clock.
+      batching, generic vs non-generic, fusion, autotuning, sharding),
+      reported in simulated GTX480 time.
+   3. {b Serving} — the streaming engine under load, in wall clock.
 
-   Flags:
-     --smoke          reduced scale + tiny Bechamel quota without GC
-                      stabilisation; fast enough to run under
-                      `dune runtest`.
-     --json [PATH]    also write the per-section wall-clock times as JSON
-                      (default: BENCH_<yyyy-mm-dd>.json), with the kernel
-                      cache statistics and pool counters embedded.
-     --domains N      resize the shared domain pool (1 = sequential).
-     --opt off|fuse|auto
-                      plan optimisation mode for both GPU pipelines
-                      (default off; the fusion and autotune ablations
-                      always measure every setting explicitly, and the
-                      serving section always serves auto-tuned plans).
-     --trace [PATH]   write a Chrome trace-event JSON file (default:
-                      bench_trace.json) with modelled-device tracks and
-                      host wall-clock spans.
-     --metrics [PATH] dump the metrics registry (default:
-                      bench_metrics.json; .json selects JSON). *)
+   Each section's host wall clock is printed at the end and, with
+   [--json], written to a report that bench/regress.ml diffs against
+   the committed baseline.  Per-layer host time of the compilers and
+   the executors is perfbench's ledger, not this harness's.  The flags
+   are described by [--help]. *)
 
-open Bechamel
+open Cmdliner
+
+(* JSON numbers are floats. *)
+let int_num n = Obs.Json.Num (float_of_int n)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -271,7 +258,7 @@ let serving_devices ~smoke () =
     !device_serving_rows
 
 (* ------------------------------------------------------------------ *)
-(* 2b. Serving: streaming engine under load (wall clock)               *)
+(* 3. Serving: streaming engine under load (wall clock)                *)
 (* ------------------------------------------------------------------ *)
 
 (* Each pipeline is first driven closed-loop (one outstanding request
@@ -283,46 +270,32 @@ let serving_devices ~smoke () =
    a full queue of [capacity] waits at most [capacity + batch] service
    times -- with a 4x allowance for scheduling noise. *)
 
-type serving_row = {
-  sv_pipeline : string;
-  sv_policy : string;  (** "closed", "reject" or "drop" *)
-  sv_offered_rps : float;
-  sv_achieved_rps : float;
-  sv_completed : int;
-  sv_rejected : int;
-  sv_dropped : int;
-  sv_timed_out : int;
-  sv_failed : int;
-  sv_p50_ms : float;
-  sv_p95_ms : float;
-  sv_p99_ms : float;
-  sv_p999_ms : float;
-  sv_p99_bounded : bool;
-}
-
-let serving_rows : serving_row list ref = ref []
+let serving_rows : Obs.Json.t list ref = ref []
 
 let slo_rows : Obs.Slo.t list ref = ref []
 
 let serving_row ~pipeline ~policy ~bound_us (r : Serve.Loadgen.report) =
   let c = r.Serve.Loadgen.counts in
   let l = r.Serve.Loadgen.latency in
-  {
-    sv_pipeline = pipeline;
-    sv_policy = policy;
-    sv_offered_rps = r.Serve.Loadgen.offered_rps;
-    sv_achieved_rps = r.Serve.Loadgen.achieved_rps;
-    sv_completed = c.Serve.Loadgen.completed;
-    sv_rejected = c.Serve.Loadgen.rejected;
-    sv_dropped = c.Serve.Loadgen.dropped;
-    sv_timed_out = c.Serve.Loadgen.timed_out;
-    sv_failed = c.Serve.Loadgen.failed;
-    sv_p50_ms = l.Serve.Stats.p50_us /. 1000.;
-    sv_p95_ms = l.Serve.Stats.p95_us /. 1000.;
-    sv_p99_ms = l.Serve.Stats.p99_us /. 1000.;
-    sv_p999_ms = l.Serve.Stats.p999_us /. 1000.;
-    sv_p99_bounded = l.Serve.Stats.p99_us <= bound_us;
-  }
+  let ms us = Obs.Json.Num (us /. 1000.) in
+  Obs.Json.(
+    Obj
+      [
+        ("pipeline", Str pipeline);
+        ("policy", Str policy);
+        ("offered_rps", Num r.Serve.Loadgen.offered_rps);
+        ("achieved_rps", Num r.Serve.Loadgen.achieved_rps);
+        ("completed", int_num c.Serve.Loadgen.completed);
+        ("rejected", int_num c.Serve.Loadgen.rejected);
+        ("dropped", int_num c.Serve.Loadgen.dropped);
+        ("timed_out", int_num c.Serve.Loadgen.timed_out);
+        ("failed", int_num c.Serve.Loadgen.failed);
+        ("p50_ms", ms l.Serve.Stats.p50_us);
+        ("p95_ms", ms l.Serve.Stats.p95_us);
+        ("p99_ms", ms l.Serve.Stats.p99_us);
+        ("p999_ms", ms l.Serve.Stats.p999_us);
+        ("p99_bounded", Bool (l.Serve.Stats.p99_us <= bound_us));
+      ])
 
 let serving ~smoke () =
   section "Serving: streaming engine under load (wall clock)";
@@ -392,115 +365,8 @@ let serving ~smoke () =
       print_endline ("  " ^ Obs.Slo.report slo))
     [ ("sac", Serve.Session.Sac); ("gaspard", Serve.Session.Mde) ]
 
-(* ------------------------------------------------------------------ *)
-(* 3. Bechamel microbenchmarks                                         *)
-(* ------------------------------------------------------------------ *)
-
+(* Reduced scale of --smoke. *)
 let small = { Study.Scale.rows = 72; cols = 64; frames = 2 }
-
-let tiny_frame =
-  lazy
-    (Ndarray.Tensor.init [| 72; 64 |] (fun idx ->
-         (idx.(0) + (2 * idx.(1))) mod 251))
-
-let nongeneric_src =
-  lazy (Sac.Programs.horizontal ~generic:false ~rows:72 ~cols:64)
-
-let compiled_plan =
-  lazy
-    (fst
-       (Sac_cuda.Compile.plan_of_source (Lazy.force nongeneric_src)
-          ~entry:"main"))
-
-let tests =
-  [
-    (* Paper artefacts at reduced scale.  Table I and Figure 9 have no
-       row: their runs are memoised, so a row would time a table
-       lookup. *)
-    Test.make ~name:"table2/sac-profile"
-      (Staged.stage (fun () ->
-           Study.Sac_runs.full_pipeline_profile ~generic:false small));
-    Test.make ~name:"fig12/comparison"
-      (Staged.stage (fun () -> Study.Experiments.fig12 ~scale:small ()));
-    Test.make ~name:"fig8/folded-loop"
-      (Staged.stage (fun () -> Study.Experiments.fig8 ~scale:small ()));
-    (* Compiler components. *)
-    Test.make ~name:"compiler/parse"
-      (Staged.stage (fun () -> Sac.Parser.program (Lazy.force nongeneric_src)));
-    Test.make ~name:"compiler/optimize"
-      (Staged.stage (fun () ->
-           Sac.Pipeline.optimize_source (Lazy.force nongeneric_src)
-             ~entry:"main"));
-    Test.make ~name:"compiler/backend"
-      (Staged.stage (fun () ->
-           Sac_cuda.Compile.plan_of_source (Lazy.force nongeneric_src)
-             ~entry:"main"));
-    Test.make ~name:"compiler/emit-cuda"
-      (Staged.stage (fun () ->
-           Sac_cuda.Emit_cu.source ~name:"bench" (Lazy.force compiled_plan)));
-    Test.make ~name:"runtime/execute-plan-72x64"
-      (Staged.stage (fun () ->
-           Sac_cuda.Exec.run (Gpu.Context.create ()) (Lazy.force compiled_plan)
-             ~args:[ ("frame", Lazy.force tiny_frame) ]));
-    Test.make ~name:"mde/transform-chain"
-      (Staged.stage (fun () ->
-           Mde.Chain.transform_exn
-             (Mde.Chain.downscaler_model ~rows:72 ~cols:64)));
-    Test.make ~name:"substrate/tiler-gather-all"
-      (Staged.stage (fun () ->
-           let spec, _ =
-             Video.Downscaler.input_tilers
-               { Video.Format.name = "b"; rows = 72; cols = 64 }
-           in
-           Tiler.gather_all (Lazy.force tiny_frame) spec));
-    Test.make ~name:"substrate/reference-downscaler"
-      (Staged.stage (fun () -> Video.Downscaler.plane (Lazy.force tiny_frame)));
-  ]
-
-let run_benchmarks ~smoke () =
-  section "Microbenchmarks (wall clock of this implementation)";
-  let cfg =
-    if smoke then
-      Benchmark.cfg ~limit:10 ~quota:(Time.second 0.01) ~kde:None
-        ~stabilize:false ()
-    else Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let analysis =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  Printf.printf "%-42s %14s %10s\n" "benchmark" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let results = Analyze.all analysis instance raw in
-      List.iter
-        (fun name ->
-          match Hashtbl.find_opt results name with
-          | None -> ()
-          | Some ols ->
-              let time_ns =
-                match Analyze.OLS.estimates ols with
-                | Some (t :: _) -> t
-                | _ -> nan
-              in
-              let r2 =
-                match Analyze.OLS.r_square ols with
-                | Some r -> Printf.sprintf "%.3f" r
-                | None -> "-"
-              in
-              let pretty =
-                if time_ns >= 1e9 then
-                  Printf.sprintf "%8.2f  s" (time_ns /. 1e9)
-                else if time_ns >= 1e6 then
-                  Printf.sprintf "%8.2f ms" (time_ns /. 1e6)
-                else if time_ns >= 1e3 then
-                  Printf.sprintf "%8.2f us" (time_ns /. 1e3)
-                else Printf.sprintf "%8.0f ns" time_ns
-              in
-              Printf.printf "%-42s %14s %10s\n%!" name pretty r2)
-        (Test.names test))
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
@@ -509,7 +375,7 @@ let run_benchmarks ~smoke () =
 type options = {
   smoke : bool;
   json : string option;  (** output path when [--json] was given *)
-  domains : int;  (** 0 = machine default *)
+  domains : int option;  (** pool size when [--domains] was given *)
   opt : Optimizer.Mode.t;  (** plan optimisation mode for both pipelines *)
   trace : string option;  (** Chrome trace output when [--trace] was given *)
   metrics : string option;  (** metrics dump when [--metrics] was given *)
@@ -520,331 +386,238 @@ let today () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday
 
-let parse_options () =
-  let opts =
-    ref
-      {
-        smoke = false;
-        json = None;
-        domains = 0;
-        opt = Optimizer.Mode.Off;
-        trace = None;
-        metrics = None;
-      }
-  in
-  let args = Array.to_list Sys.argv in
-  let rec go = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        opts := { !opts with smoke = true };
-        go rest
-    | "--json" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        opts := { !opts with json = Some path };
-        go rest
-    | "--json" :: rest ->
-        opts := { !opts with json = Some (Printf.sprintf "BENCH_%s.json" (today ())) };
-        go rest
-    | "--trace" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
-        opts := { !opts with trace = Some path };
-        go rest
-    | "--trace" :: rest ->
-        opts := { !opts with trace = Some "bench_trace.json" };
-        go rest
-    | "--metrics" :: path :: rest
-      when String.length path > 0 && path.[0] <> '-' ->
-        opts := { !opts with metrics = Some path };
-        go rest
-    | "--metrics" :: rest ->
-        opts := { !opts with metrics = Some "bench_metrics.json" };
-        go rest
-    | "--opt" :: v :: rest when Optimizer.Mode.of_string v <> None ->
-        opts :=
-          { !opts with opt = Option.get (Optimizer.Mode.of_string v) };
-        go rest
-    | "--opt" :: v :: _ ->
-        Printf.eprintf "bench: --opt expects off, fuse or auto, got %s\n" v;
-        exit 2
-    | "--domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n -> opts := { !opts with domains = n }; go rest
-        | None ->
-            Printf.eprintf "bench: --domains expects an integer, got %s\n" n;
-            exit 2)
-    | arg :: rest ->
-        if arg <> Sys.argv.(0) then
-          Printf.eprintf "bench: ignoring unknown argument %s\n" arg;
-        go rest
-  in
-  go args;
-  !opts
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path ~opts ~scale ~timings =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"date\": \"%s\",\n" (today ());
-  p "  \"smoke\": %b,\n" opts.smoke;
-  p "  \"domains\": %d,\n"
-    (if opts.domains > 0 then opts.domains else Gpu.Pool.default_domains ());
-  p "  \"opt\": \"%s\",\n" (Optimizer.Mode.to_string opts.opt);
-  p "  \"scale\": { \"rows\": %d, \"cols\": %d, \"frames\": %d },\n"
-    scale.Study.Scale.rows scale.Study.Scale.cols scale.Study.Scale.frames;
-  p "  \"sections\": [\n";
-  List.iteri
-    (fun i (name, seconds) ->
-      p "    { \"name\": \"%s\", \"seconds\": %.3f }%s\n" (json_escape name)
-        seconds
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
+(* The top-level members of the --json report.  Key names and row
+   identities are what bench/regress.ml and bench/validate_obs.ml read,
+   so renaming one breaks the gate against the committed baseline. *)
+let report ~opts ~scale ~timings =
+  let open Obs.Json in
   let m name = Option.value ~default:0 (Obs.Metrics.find name) in
-  p
-    "  \"cache_stats\": { \"compiles\": %d, \"compile_hits\": %d, \
-     \"cost_profiles\": %d, \"cost_hits\": %d },\n"
-    (m "gpu.compiles") (m "gpu.compile_hits") (m "gpu.cost_profiles")
-    (m "gpu.cost_hits");
-  p
-    "  \"gpu\": { \"launches\": %d, \"h2d_copies\": %d, \"h2d_bytes\": %d, \
-     \"d2h_copies\": %d, \"d2h_bytes\": %d, \"alloc_high_water_bytes\": %d, \
-     \"peak_bytes\": %d, \"buffers_reused\": %d },\n"
-    (m "gpu.launches") (m "gpu.h2d_copies") (m "gpu.h2d_bytes")
-    (m "gpu.d2h_copies") (m "gpu.d2h_bytes") (m "gpu.alloc_high_water_bytes")
-    (m "gpu.alloc_high_water_bytes")
-    (m "fusion.buffers_reused");
-  p
-    "  \"pool\": { \"size\": %d, \"tasks\": %d, \"worker_tasks\": %d, \
-     \"helped_tasks\": %d, \"batches\": %d, \"queue_high_water\": %d, \
-     \"peak_parallelism\": %d },\n"
-    (Gpu.Pool.size (Gpu.Pool.get ()))
-    (m "pool.tasks") (m "pool.worker_tasks") (m "pool.helped_tasks")
-    (m "pool.batches")
-    (m "pool.queue_high_water")
-    (m "pool.peak_parallelism");
-  p
-    "  \"fusion\": { \"kernels_eliminated\": %d, \"launches_saved\": %d, \
-     \"buffers_eliminated\": %d, \"bytes_saved\": %d, \"buffers_reused\": \
-     %d },\n"
-    (m "fusion.kernels_eliminated")
-    (m "fusion.launches_saved")
-    (m "fusion.buffers_eliminated")
-    (m "fusion.bytes_saved") (m "fusion.buffers_reused");
-  p
-    "  \"optimizer\": { \"candidates\": %d, \"rules_applied\": %d, \
-     \"verify_rejections\": %d, \"plan_cache_hits\": %d, \
-     \"plan_cache_misses\": %d, \"plan_cache_size\": %d, \
-     \"replay_divergences\": %d },\n"
-    (m "optimizer.candidates")
-    (m "optimizer.rules_applied")
-    (m "optimizer.verify_rejections")
-    (m "optimizer.plan_cache_hits")
-    (m "optimizer.plan_cache_misses")
-    (Optimizer.Cache.size ())
-    (m "optimizer.replay_divergences");
-  p "  \"autotune_ablation\": [\n";
-  let nat = List.length !autotune_rows in
-  List.iteri
-    (fun i (r : Study.Experiments.autotune_row) ->
-      p
-        "    { \"pipeline\": \"%s\", \"rows\": %d, \"cols\": %d, \
-         \"off_us\": %.1f, \"fuse_us\": %.1f, \"auto_us\": %.1f, \
-         \"rules\": [%s], \"bit_checked\": %b, \"bit_identical\": %b }%s\n"
-        (json_escape r.Study.Experiments.at_pipeline)
-        r.Study.Experiments.at_rows r.Study.Experiments.at_cols
-        r.Study.Experiments.at_off_us r.Study.Experiments.at_fuse_us
-        r.Study.Experiments.at_auto_us
-        (String.concat ", "
-           (List.map
-              (fun rule -> Printf.sprintf "\"%s\"" (json_escape rule))
-              r.Study.Experiments.at_rules))
-        r.Study.Experiments.at_bit_checked
-        r.Study.Experiments.at_bit_identical
-        (if i = nat - 1 then "" else ","))
-    !autotune_rows;
-  p "  ],\n";
-  p "  \"fusion_ablation\": [\n";
-  let nrows = List.length !fusion_rows in
-  List.iteri
-    (fun i (r : Study.Experiments.fusion_row) ->
-      p
-        "    { \"pipeline\": \"%s\", \"fused\": %b, \"kernels\": %d, \
-         \"launches\": %d, \"intermediates\": %d, \"peak_bytes\": %d, \
-         \"modelled_us\": %.1f, \"bit_identical\": %b }%s\n"
-        (json_escape r.Study.Experiments.pipeline)
-        r.Study.Experiments.fused r.Study.Experiments.kernels
-        r.Study.Experiments.launches r.Study.Experiments.intermediates
-        r.Study.Experiments.peak_bytes r.Study.Experiments.modelled_us
-        r.Study.Experiments.bit_identical
-        (if i = nrows - 1 then "" else ","))
-    !fusion_rows;
-  p "  ],\n";
-  p "  \"overlap\": {\n";
-  let nsums = List.length !overlap_summaries in
-  List.iteri
-    (fun i (name, (s : Gpu.Overlap.summary)) ->
-      p
-        "    \"%s\": { \"serial_s\": %.3f, \"pipelined_s\": %.3f, \
-         \"bottleneck_share\": %.3f, \"saving_pct\": %.1f }%s\n"
-        (json_escape name) s.Gpu.Overlap.serial_s s.Gpu.Overlap.pipelined_s
-        s.Gpu.Overlap.bottleneck_share s.Gpu.Overlap.saving_pct
-        (if i = nsums - 1 then "" else ","))
-    !overlap_summaries;
-  p "  },\n";
-  p "  \"serving\": [\n";
-  let nserv = List.length !serving_rows in
-  List.iteri
-    (fun i (r : serving_row) ->
-      p
-        "    { \"pipeline\": \"%s\", \"policy\": \"%s\", \"offered_rps\": \
-         %.1f, \"achieved_rps\": %.1f, \"completed\": %d, \"rejected\": %d, \
-         \"dropped\": %d, \"timed_out\": %d, \"failed\": %d, \"p50_ms\": \
-         %.2f, \"p95_ms\": %.2f, \"p99_ms\": %.2f, \"p999_ms\": %.2f, \
-         \"p99_bounded\": %b }%s\n"
-        (json_escape r.sv_pipeline) (json_escape r.sv_policy) r.sv_offered_rps
-        r.sv_achieved_rps r.sv_completed r.sv_rejected r.sv_dropped
-        r.sv_timed_out r.sv_failed r.sv_p50_ms r.sv_p95_ms r.sv_p99_ms
-        r.sv_p999_ms r.sv_p99_bounded
-        (if i = nserv - 1 then "" else ","))
-    !serving_rows;
-  p "  ],\n";
-  p "  \"slo\": [\n";
-  let nslo = List.length !slo_rows in
-  List.iteri
-    (fun i s ->
-      p
-        "    { \"name\": \"%s\", \"objective_ms\": %.2f, \"budget\": %.4f, \
-         \"total\": %d, \"breaches\": %d, \"breach_rate\": %.4f, \"burn\": \
-         %.2f }%s\n"
-        (json_escape (Obs.Slo.name s))
-        (Obs.Slo.objective_us s /. 1000.)
-        (Obs.Slo.budget s) (Obs.Slo.total s) (Obs.Slo.breaches s)
-        (Obs.Slo.breach_rate s) (Obs.Slo.burn s)
-        (if i = nslo - 1 then "" else ","))
-    !slo_rows;
-  p "  ],\n";
-  (* Per-phase latency-attribution histograms the engines fed while
-     serving ran; the buckets mirror the metrics registry. *)
-  let phase_names = [ "queue_wait"; "batch_gather"; "execute"; "retry" ] in
-  let phase_snaps =
-    List.filter_map
-      (fun ph ->
-        Option.map
-          (fun snap -> (ph, snap))
-          (Obs.Metrics.histogram_snapshot
-             (Printf.sprintf "serve.phase.%s_us" ph)))
-      phase_names
+  (* A counter block: each key is the metric [prefix ^ key]. *)
+  let counters prefix keys =
+    List.map (fun k -> (k, int_num (m (prefix ^ k)))) keys
   in
-  p "  \"serve_phases\": {\n";
-  let nph = List.length phase_snaps in
-  List.iteri
-    (fun i (ph, (count, sum, buckets)) ->
-      p "    \"%s\": { \"count\": %d, \"sum_us\": %d, \"buckets\": [%s] }%s\n"
-        ph count sum
-        (String.concat ", "
-           (List.map
-              (fun (le, n) -> Printf.sprintf "{ \"le\": \"%s\", \"n\": %d }" le n)
-              buckets))
-        (if i = nph - 1 then "" else ","))
-    phase_snaps;
-  p "  },\n";
-  p
-    "  \"serve\": { \"submitted\": %d, \"completed\": %d, \"rejected\": %d, \
-     \"dropped\": %d, \"timeouts\": %d, \"retries\": %d, \"failed\": %d, \
-     \"batches\": %d, \"batched_frames\": %d, \"batch_high_water\": %d, \
-     \"queue_high_water\": %d },\n"
-    (m "serve.submitted") (m "serve.completed") (m "serve.rejected")
-    (m "serve.dropped") (m "serve.timeouts") (m "serve.retries")
-    (m "serve.failed") (m "serve.batches")
-    (m "serve.batched_frames")
-    (m "serve.batch_high_water")
-    (m "serve.queue_high_water");
-  p
-    "  \"analysis\": { \"kernels_checked\": %d, \"plans_checked\": %d, \
-     \"findings\": %d, \"errors\": %d, \"warnings\": %d, \"notes\": %d, \
-     \"memo_hits\": %d, \"memo_misses\": %d },\n"
-    (m "analysis.kernels_checked")
-    (m "analysis.plans_checked")
-    (m "analysis.findings") (m "analysis.errors") (m "analysis.warnings")
-    (m "analysis.notes") (m "analysis.memo_hits") (m "analysis.memo_misses");
-  p "  \"perf_lint\": [\n";
-  let nperf = List.length !perf_reports in
-  List.iteri
-    (fun i (r : Study.Experiments.perf_report) ->
-      let errors = Analysis.Finding.errors r.Study.Experiments.pl_findings in
-      let min_eff =
-        List.fold_left
-          (fun acc (row : Study.Experiments.perf_row) ->
-            Float.min acc row.Study.Experiments.pr_efficiency)
-          1.0 r.Study.Experiments.pl_rows
-      in
-      p
-        "    { \"pipeline\": \"%s\", \"kernels\": %d, \"buffers\": %d, \
-         \"findings\": %d, \"errors\": %d, \"warnings\": %d, \"notes\": \
-         %d, \"min_efficiency\": %.3f, \"shipped_clean\": %b }%s\n"
-        (json_escape r.Study.Experiments.pl_pipeline)
-        r.Study.Experiments.pl_kernels
-        (List.length r.Study.Experiments.pl_rows)
-        (List.length r.Study.Experiments.pl_findings)
-        errors
-        (Analysis.Finding.warnings r.Study.Experiments.pl_findings)
-        (Analysis.Finding.notes r.Study.Experiments.pl_findings)
-        min_eff (errors = 0)
-        (if i = nperf - 1 then "" else ","))
-    !perf_reports;
-  p "  ],\n";
-  p "  \"devices\": {\n";
-  p "    \"sharding\": [\n";
-  let ndev = List.length !devices_rows in
-  List.iteri
-    (fun i (r : Study.Experiments.devices_row) ->
-      p
-        "      { \"devices\": %d, \"rows\": %d, \"cols\": %d, \"frames\": \
-         %d, \"makespan_us\": %.1f, \"serial_us\": %.1f, \"speedup\": %.3f, \
-         \"pcie_bytes\": %d, \"peer_bytes\": %d, \"bit_identical\": %b }%s\n"
-        r.Study.Experiments.dv_devices r.Study.Experiments.dv_rows
-        r.Study.Experiments.dv_cols r.Study.Experiments.dv_frames
-        r.Study.Experiments.dv_makespan_us r.Study.Experiments.dv_serial_us
-        r.Study.Experiments.dv_speedup r.Study.Experiments.dv_pcie_bytes
-        r.Study.Experiments.dv_peer_bytes r.Study.Experiments.dv_bit_identical
-        (if i = ndev - 1 then "" else ","))
-    !devices_rows;
-  p "    ],\n";
-  p "    \"serving\": [\n";
-  let ndsv = List.length !device_serving_rows in
-  List.iteri
-    (fun i r ->
-      p
-        "      { \"devices\": %d, \"achieved_rps\": %.1f, \"migrations\": \
-         %d }%s\n"
-        r.dsv_devices r.dsv_achieved_rps r.dsv_migrations
-        (if i = ndsv - 1 then "" else ","))
-    !device_serving_rows;
-  p "    ]\n";
-  p "  },\n";
-  p "  \"total_seconds\": %.3f\n"
-    (List.fold_left (fun acc (_, s) -> acc +. s) 0.0 timings);
-  p "}\n";
-  close_out oc;
+  let rows f l = Arr (List.map (fun r -> Obj (f r)) l) in
+  [
+    ("date", Str (today ()));
+    ("smoke", Bool opts.smoke);
+    ( "domains",
+      int_num
+        (Option.value opts.domains ~default:(Gpu.Pool.default_domains ())) );
+    ("opt", Str (Optimizer.Mode.to_string opts.opt));
+    ( "scale",
+      Obj
+        [
+          ("rows", int_num scale.Study.Scale.rows);
+          ("cols", int_num scale.Study.Scale.cols);
+          ("frames", int_num scale.Study.Scale.frames);
+        ] );
+    ( "sections",
+      rows
+        (fun (name, seconds) ->
+          [ ("name", Str name); ("seconds", Num seconds) ])
+        timings );
+    ( "cache_stats",
+      Obj
+        (counters "gpu."
+           [ "compiles"; "compile_hits"; "cost_profiles"; "cost_hits" ]) );
+    ( "gpu",
+      Obj
+        (counters "gpu."
+           [
+             "launches"; "h2d_copies"; "h2d_bytes"; "d2h_copies"; "d2h_bytes";
+             "alloc_high_water_bytes";
+           ]
+        @ [
+            ("peak_bytes", int_num (m "gpu.alloc_high_water_bytes"));
+            ("buffers_reused", int_num (m "fusion.buffers_reused"));
+          ]) );
+    ( "pool",
+      Obj
+        (("size", int_num (Gpu.Pool.size (Gpu.Pool.get ())))
+        :: counters "pool."
+             [
+               "tasks"; "worker_tasks"; "helped_tasks"; "batches";
+               "queue_high_water"; "peak_parallelism";
+             ]) );
+    ( "fusion",
+      Obj
+        (counters "fusion."
+           [
+             "kernels_eliminated"; "launches_saved"; "buffers_eliminated";
+             "bytes_saved"; "buffers_reused";
+           ]) );
+    ( "optimizer",
+      Obj
+        (counters "optimizer."
+           [
+             "candidates"; "rules_applied"; "verify_rejections";
+             "plan_cache_hits"; "plan_cache_misses"; "replay_divergences";
+           ]
+        @ [ ("plan_cache_size", int_num (Optimizer.Cache.size ())) ]) );
+    ( "autotune_ablation",
+      rows
+        (fun (r : Study.Experiments.autotune_row) ->
+          [
+            ("pipeline", Str r.at_pipeline);
+            ("rows", int_num r.at_rows);
+            ("cols", int_num r.at_cols);
+            ("off_us", Num r.at_off_us);
+            ("fuse_us", Num r.at_fuse_us);
+            ("auto_us", Num r.at_auto_us);
+            ("rules", Arr (List.map (fun rule -> Str rule) r.at_rules));
+            ("bit_checked", Bool r.at_bit_checked);
+            ("bit_identical", Bool r.at_bit_identical);
+          ])
+        !autotune_rows );
+    ( "fusion_ablation",
+      rows
+        (fun (r : Study.Experiments.fusion_row) ->
+          [
+            ("pipeline", Str r.pipeline);
+            ("fused", Bool r.fused);
+            ("kernels", int_num r.kernels);
+            ("launches", int_num r.launches);
+            ("intermediates", int_num r.intermediates);
+            ("peak_bytes", int_num r.peak_bytes);
+            ("modelled_us", Num r.modelled_us);
+            ("bit_identical", Bool r.bit_identical);
+          ])
+        !fusion_rows );
+    ( "overlap",
+      Obj
+        (List.map
+           (fun (name, (s : Gpu.Overlap.summary)) ->
+             ( name,
+               Obj
+                 [
+                   ("serial_s", Num s.serial_s);
+                   ("pipelined_s", Num s.pipelined_s);
+                   ("bottleneck_share", Num s.bottleneck_share);
+                   ("saving_pct", Num s.saving_pct);
+                 ] ))
+           !overlap_summaries) );
+    ("serving", Arr !serving_rows);
+    ( "slo",
+      rows
+        (fun s ->
+          [
+            ("name", Str (Obs.Slo.name s));
+            ("objective_ms", Num (Obs.Slo.objective_us s /. 1000.));
+            ("budget", Num (Obs.Slo.budget s));
+            ("total", int_num (Obs.Slo.total s));
+            ("breaches", int_num (Obs.Slo.breaches s));
+            ("breach_rate", Num (Obs.Slo.breach_rate s));
+            ("burn", Num (Obs.Slo.burn s));
+          ])
+        !slo_rows );
+    (* Per-phase latency-attribution histograms the engines fed while
+       serving ran; the buckets mirror the metrics registry. *)
+    ( "serve_phases",
+      Obj
+        (List.filter_map
+           (fun ph ->
+             Option.map
+               (fun (count, sum, buckets) ->
+                 ( ph,
+                   Obj
+                     [
+                       ("count", int_num count);
+                       ("sum_us", int_num sum);
+                       ( "buckets",
+                         rows
+                           (fun (le, n) -> [ ("le", Str le); ("n", int_num n) ])
+                           buckets );
+                     ] ))
+               (Obs.Metrics.histogram_snapshot
+                  (Printf.sprintf "serve.phase.%s_us" ph)))
+           [ "queue_wait"; "batch_gather"; "execute"; "retry" ]) );
+    ( "serve",
+      Obj
+        (counters "serve."
+           [
+             "submitted"; "completed"; "rejected"; "dropped"; "timeouts";
+             "retries"; "failed"; "batches"; "batched_frames";
+             "batch_high_water"; "queue_high_water";
+           ]) );
+    ( "analysis",
+      Obj
+        (counters "analysis."
+           [
+             "kernels_checked"; "plans_checked"; "findings"; "errors";
+             "warnings"; "notes"; "memo_hits"; "memo_misses";
+           ]) );
+    ( "perf_lint",
+      rows
+        (fun (r : Study.Experiments.perf_report) ->
+          let errors = Analysis.Finding.errors r.pl_findings in
+          [
+            ("pipeline", Str r.pl_pipeline);
+            ("kernels", int_num r.pl_kernels);
+            ("buffers", int_num (List.length r.pl_rows));
+            ("findings", int_num (List.length r.pl_findings));
+            ("errors", int_num errors);
+            ("warnings", int_num (Analysis.Finding.warnings r.pl_findings));
+            ("notes", int_num (Analysis.Finding.notes r.pl_findings));
+            ( "min_efficiency",
+              Num
+                (List.fold_left
+                   (fun acc (row : Study.Experiments.perf_row) ->
+                     Float.min acc row.pr_efficiency)
+                   1.0 r.pl_rows) );
+            ("shipped_clean", Bool (errors = 0));
+          ])
+        !perf_reports );
+    ( "devices",
+      Obj
+        [
+          ( "sharding",
+            rows
+              (fun (r : Study.Experiments.devices_row) ->
+                [
+                  ("devices", int_num r.dv_devices);
+                  ("rows", int_num r.dv_rows);
+                  ("cols", int_num r.dv_cols);
+                  ("frames", int_num r.dv_frames);
+                  ("makespan_us", Num r.dv_makespan_us);
+                  ("serial_us", Num r.dv_serial_us);
+                  ("speedup", Num r.dv_speedup);
+                  ("pcie_bytes", int_num r.dv_pcie_bytes);
+                  ("peer_bytes", int_num r.dv_peer_bytes);
+                  ("bit_identical", Bool r.dv_bit_identical);
+                ])
+              !devices_rows );
+          ( "serving",
+            rows
+              (fun r ->
+                [
+                  ("devices", int_num r.dsv_devices);
+                  ("achieved_rps", Num r.dsv_achieved_rps);
+                  ("migrations", int_num r.dsv_migrations);
+                ])
+              !device_serving_rows );
+        ] );
+    ( "total_seconds",
+      Num (List.fold_left (fun acc (_, s) -> acc +. s) 0.0 timings) );
+  ]
+
+(* One top-level member per line, so the committed baseline diffs by
+   block. *)
+let write_json path members =
+  let line (k, v) =
+    Printf.sprintf "  %s: %s" (Obs.Json.escape k) (Obs.Json.render v)
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n" (List.map line members)));
   Printf.printf "\nwrote %s\n" path
 
-let () =
-  let opts = parse_options () in
-  if opts.domains > 0 then begin
-    Gpu.Pool.set_default_domains opts.domains;
-    Gpu.Context.set_default_mode
-      (if opts.domains <= 1 then Gpu.Context.Sequential
-       else Gpu.Context.Parallel opts.domains)
-  end;
+let run opts =
+  Option.iter
+    (fun n ->
+      Gpu.Pool.set_default_domains n;
+      Gpu.Context.set_default_mode
+        (if n <= 1 then Gpu.Context.Sequential else Gpu.Context.Parallel n))
+    opts.domains;
   Optimizer.Mode.set_default opts.opt;
   if opts.trace <> None then Obs.Tracer.set_enabled true;
   let scale = if opts.smoke then small else Study.Scale.paper in
@@ -867,7 +640,6 @@ let () =
   timed "ablation/devices" (ablation_devices ~scale);
   timed "serving" (serving ~smoke:opts.smoke);
   timed "serving/devices" (serving_devices ~smoke:opts.smoke);
-  timed "microbenchmarks" (run_benchmarks ~smoke:opts.smoke);
   print_newline ();
   let timings = List.rev !timings in
   Printf.printf "Section wall-clock (host):\n";
@@ -875,7 +647,7 @@ let () =
     (fun (name, s) -> Printf.printf "  %-22s %7.2f s\n" name s)
     timings;
   Option.iter
-    (fun path -> write_json path ~opts ~scale ~timings)
+    (fun path -> write_json path (report ~opts ~scale ~timings))
     opts.json;
   Option.iter
     (fun path ->
@@ -887,3 +659,87 @@ let () =
       Obs.Metrics.write_file path;
       Printf.printf "wrote %s\n" path)
     opts.metrics
+
+(* An optional-value flag takes PATH from "--flag=PATH" or from the
+   next argument when that does not start with a dash. *)
+let path_flag name ~default ~doc =
+  Arg.(
+    value
+    & opt ~vopt:(Some default) (some string) None
+    & info [ name ] ~docv:"PATH" ~doc)
+
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ ->
+            Error
+              (`Msg (Printf.sprintf "expected a positive integer, got %s" s))),
+      Format.pp_print_int )
+
+let options =
+  let smoke =
+    Arg.(
+      value & flag
+      & info [ "smoke" ]
+          ~doc:"Run every section at the reduced 72x64 scale, fast enough \
+                for $(b,dune runtest).")
+  in
+  let json =
+    path_flag "json"
+      ~default:(Printf.sprintf "BENCH_%s.json" (today ()))
+      ~doc:
+        "Also write the section wall clock and the embedded counter \
+         blocks and ablation rows as JSON to $(docv)."
+  in
+  let domains =
+    Arg.(
+      value
+      & opt (some positive) None
+      & info [ "domains" ] ~docv:"N"
+          ~doc:"Resize the shared domain pool to $(docv) (1 = sequential).")
+  in
+  let opt =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("off", Optimizer.Mode.Off);
+               ("fuse", Optimizer.Mode.Fuse);
+               ("auto", Optimizer.Mode.Auto);
+             ])
+          Optimizer.Mode.Off
+      & info [ "opt" ]
+          ~doc:
+            "Plan optimisation mode for both GPU pipelines: $(b,off), \
+             $(b,fuse) or $(b,auto).  The fusion and autotune \
+             ablations measure every setting explicitly, and the serving \
+             section always serves auto-tuned plans.")
+  in
+  let trace =
+    path_flag "trace" ~default:"bench_trace.json"
+      ~doc:
+        "Write a Chrome trace-event JSON file with modelled-device tracks \
+         and host wall-clock spans to $(docv)."
+  in
+  let metrics =
+    path_flag "metrics" ~default:"bench_metrics.json"
+      ~doc:
+        "Dump the metrics registry to $(docv); a .json suffix selects \
+         JSON."
+  in
+  Term.(
+    const (fun smoke json domains opt trace metrics ->
+        { smoke; json; domains; opt; trace; metrics })
+    $ smoke $ json $ domains $ opt $ trace $ metrics)
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:"Reproduce the paper's artefacts, run the ablations and \
+                   time each section")
+          Term.(const run $ options)))

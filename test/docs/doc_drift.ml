@@ -5,14 +5,15 @@
    Two checks over every DOC, each failure naming the file:
 
    - snapshots: collects the BENCH_PR<n>.json names in the bench dune
-     file outside its comments (the @bench-regress baselines and the
-     @bench-snapshot target) and fails for every BENCH_PR<n>.json a
-     document mentions that is not among them;
+     file outside its comments (the @bench-regress baseline) and fails
+     for every BENCH_PR<n>.json a document mentions that is not among
+     them;
    - library names: every three-part name [Lib.Module.name] inside a
-     backquoted span, whose [Lib] is a library directory under LIB_DIR,
-     must be a [val] or [type] of LIB_DIR/<lib>/<module>.mli (of the
-     .ml, where a top-level [let] counts too, for a module without an
-     interface).  Parameterised types ([type 'r host_step]) count. *)
+     backquoted span or a fenced block, whose [Lib] is a library
+     directory under LIB_DIR, must be a [val], [type] or record field
+     of LIB_DIR/<lib>/<module>.mli (of the .ml, where a top-level [let]
+     counts too, for a module without an interface).  Parameterised
+     types ([type 'r host_step]) count. *)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
 
@@ -59,15 +60,16 @@ let stale_snapshots ~bench_dune ~kept doc =
       if List.mem s kept then None
       else
         Some
-          (Printf.sprintf "%s names %s, which %s neither gates nor snapshots"
+          (Printf.sprintf "%s names %s, which %s does not gate"
              doc s bench_dune))
     (List.sort_uniq compare (snapshots (read doc)))
 
 (* ---------- Library names ---------- *)
 
-(* The inline code spans of a markdown text: fenced blocks are
-   skipped, and a span may wrap onto the next line. *)
+(* The code of a markdown text: each inline code span (one may wrap
+   onto the next line) and each fenced block. *)
 let code_spans text =
+  let blocks = Buffer.create 256 in
   let unfenced =
     let fenced = ref false in
     String.split_on_char '\n' text
@@ -77,13 +79,18 @@ let code_spans text =
              fenced := not !fenced;
              ""
            end
-           else if !fenced then ""
+           else if !fenced then begin
+             Buffer.add_string blocks (line ^ "\n");
+             ""
+           end
            else line)
     |> String.concat "\n"
   in
-  match String.split_on_char '`' unfenced with
+  Buffer.contents blocks
+  ::
+  (match String.split_on_char '`' unfenced with
   | [] -> []
-  | _ :: rest -> List.filteri (fun i _ -> i mod 2 = 0) rest
+  | _ :: rest -> List.filteri (fun i _ -> i mod 2 = 0) rest)
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
@@ -112,10 +119,11 @@ let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
 let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
 
 (* Whether [name] is declared by a line "val name", "type name" or
-   "type <params> name" (also after "and") of [src]; with [~impl], a
-   top-level "let name" counts too.  Only the part of a line before its
-   first '=' is read, so the declared name is the last word of a type
-   head. *)
+   "type <params> name" (also after "and"), or is a record field
+   "name :" (after an optional "{" or "mutable"), of [src]; with
+   [~impl], a top-level "let name" counts too.  Only the part of a line
+   before its first '=' is read, so the declared name is the last word
+   of a type head. *)
 let declares ~impl src name =
   let ident w =
     let k = ref 0 in
@@ -133,6 +141,7 @@ let declares ~impl src name =
              impl && line.[0] = 'l' && ident w = name
          | ("type" | "and") :: (_ :: _ as rest) ->
              ident (List.nth rest (List.length rest - 1)) = name
+         | ("{" | "mutable") :: w :: ":" :: _ | w :: ":" :: _ -> ident w = name
          | _ -> false)
 
 let unresolved_names ~lib_dir doc =
